@@ -2,9 +2,9 @@
 
 Each public ``label_*`` routine picks sequences, shifts and compositions for
 one windmill family and returns a verified labelling.  The triangle/square
-dispatcher additionally reports a construction trace naming the rule it used;
-the coverage audit replays the same rule arithmetic without building
-anything.
+dispatcher additionally reports a construction trace naming the rule it used.
+The dispatcher, ``replay`` and the coverage audit all read one rule function,
+``_c3c4_rule``, so the rule precedence is written down once.
 """
 
 from __future__ import annotations
@@ -226,7 +226,6 @@ def label_c5(p: int) -> Labelling:
 # Triangle + square windmills
 # ---------------------------------------------------------------------------
 
-_EXT_CASE_OF_RESIDUE = {0: 1, 1: 2, 2: 3, 3: 4}
 # 4*s bounds for the extension: case -> (low offset, high offset) so that
 # low <= 4*s' <= high with low = 2k + lo - 12w, high = 6k + hi - 12w.
 _EXT_OFFSETS = {1: (2, -5), 2: (-1, -8), 3: (-2, -9), 4: (-3, -10)}
@@ -256,17 +255,14 @@ def _ext_replacement_triangles(case: int, w: int, s: int, k: int) -> list[tuple[
     return []
 
 
-def extend_c3c4(
-    base: Labelling, k: int, case: int, *, published_bounds: bool = True
-) -> Labelling:
+def extend_c3c4(base: Labelling, k: int, case: int) -> Labelling:
     """Graft 4k-1 squares onto a triangle+square labelling.
 
     The new squares come from the two-fold Langford block of defect 6k-1; in
     the near graceful cases the base must contain one or two specific
     hook-adjacent triangles, which are swapped for translated copies so the
-    top edge labels stay unique.  ``published_bounds`` enforces the published
-    interval preconditions; disabling it falls back on the direct
-    label-collision checks alone.
+    top edge labels stay unique.  The base's square count must lie in the
+    published interval of the case.
     """
     if k < 1:
         raise BoundViolation(f"need k >= 1, got {k}")
@@ -277,12 +273,12 @@ def extend_c3c4(
         raise MalformedLabelling("extension applies to triangle+square windmills only")
     t = base.spec.count_of(3)
     s = base.spec.count_of(4)
-    if _EXT_CASE_OF_RESIDUE[t % 4] != case:
+    if t % 4 + 1 != case:
         raise BoundViolation(f"case {case} does not match t={t}")
     w = t // 4
     if case == 1 and w < 1:
         raise BoundViolation("case 1 needs at least four triangles")
-    if published_bounds and not _ext_bounds_hold(case, w, k, s):
+    if not _ext_bounds_hold(case, w, k, s):
         raise BoundViolation(f"(t={t}, s={s}, k={k}) outside the case-{case} interval")
     expected = GRACEFUL if case in (1, 2) else NEAR_GRACEFUL
     if base.mode != expected:
@@ -308,23 +304,8 @@ def extend_c3c4(
     return _checked(Labelling(new_spec, tuple(tris + squares), base.mode))
 
 
-def _smallest_extension_k(t: int, s: int) -> tuple[int, int] | None:
-    """Smallest k whose interval admits a base of s - 4k + 1 squares."""
-    case = _EXT_CASE_OF_RESIDUE[t % 4]
-    w = t // 4
-    if case == 1 and w < 1:
-        return None
-    for k in range(1, (s + 2) // 4 + 1):
-        s_base = s - 4 * k + 1
-        if s_base < 1:
-            break
-        if _ext_bounds_hold(case, w, k, s_base):
-            return k, s_base
-    return None
-
-
-def _composite_parameters(t: int, s: int) -> tuple[str, int, int] | None:
-    """Locate s inside the tiling of composite orders: rule, x, y."""
+def _composite_rule(t: int, s: int) -> tuple[str, dict] | None:
+    """Locate s inside the tiling of composite orders: rule and parameters."""
     if s < max(3 * t + 2, 2 * t + 6) or 2 * s > 13 * t + 37:
         return None
     x = (s - (2 * t - 3)) // 9
@@ -334,33 +315,31 @@ def _composite_parameters(t: int, s: int) -> tuple[str, int, int] | None:
     if not 0 <= off <= 8:  # pragma: no cover - arithmetic guarantee
         return None
     if off < 4:
-        rule, y = "composite-low", off
-    elif off == 4:
-        # boundary cell is expressible both ways; the empty tail is simpler
-        rule, y = "composite-high", 0
+        rule, y, defect = "composite-low", off, t + 4 * x - 1
     else:
-        rule, y = "composite-high", off - 4
+        # off == 4 is expressible both ways; the empty tail is simpler
+        rule, y, defect = "composite-high", off - 4, t + 4 * x + 1
     if y == 4 and t + 2 * x == 6:
         # the order-4 tail block carries the label 6, which collides with the
         # power-of-4 block's top vertex at this one corner; fall through
         return None
-    return rule, x, y
+    return rule, {"t": t, "s": s, "x": x, "y": y, "defect": defect}
 
 
-def _composite_sequence(rule: str, t: int, x: int, y: int) -> SkolemTypeSequence:
+def _composite_sequence(rule: str, x: int, y: int, defect: int) -> SkolemTypeSequence:
     if rule == "composite-low":
         # trimmed power-of-4 prefix, double Langford core, the closing (1,1),
         # then one of the small catalogued two-fold sequences
         parts = [
             gen_power4(x, trimmed=True),
-            double(gen_langford_doubledefect(t + 4 * x - 1)),
+            double(gen_langford_doubledefect(defect)),
             gen_power4(0, trimmed=True),
             fixed_small_twofold(y),
         ]
     else:
         parts = [
             gen_power4(x),
-            double(gen_langford_doubledefect(t + 4 * x + 1)),
+            double(gen_langford_doubledefect(defect)),
             fixed_small_twofold(y),
         ]
     return concat(parts)
@@ -370,13 +349,13 @@ def _build_c3c4(t: int, s: int, rule: str, params: dict, straddle: bool) -> Labe
     if rule == "twofold-direct" or rule == "twofold-parity":
         composite = gen_twofold_skolem(s)
     elif rule == "langford-block":
-        composite = double(gen_langford_doubledefect(t + 1))
+        composite = double(gen_langford_doubledefect(params["defect"]))
     elif rule == "langford-plus-twofold":
         composite = concat(
-            [double(gen_langford_doubledefect(t + 1)), gen_twofold_skolem(params["k"])]
+            [double(gen_langford_doubledefect(params["defect"])), gen_twofold_skolem(params["k"])]
         )
     else:
-        composite = _composite_sequence(rule, t, params["x"], params["y"])
+        composite = _composite_sequence(rule, params["x"], params["y"], params["defect"])
     quads = quadruples_from_twofold(composite, c=t)
     if len(quads) != s:  # pragma: no cover - arithmetic guarantee
         raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
@@ -387,70 +366,69 @@ def _build_c3c4(t: int, s: int, rule: str, params: dict, straddle: bool) -> Labe
     return _checked(Labelling(spec, tuple(tris) + tuple(quads), expected_mode(spec)))
 
 
+def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | None:
+    """The rule covering C3^t C4^s and its trace parameters; None if none does.
+
+    This is the only statement of the rule precedence and its preconditions:
+    the dispatcher builds by it, ``replay`` re-derives it and the coverage
+    audit tabulates it.  ``straddle`` marks the base of a case-3 or case-4
+    extension, which must carry the replaceable hook-adjacent triangles; at
+    t <= 3 only the catalogued rows do (no order-3 hooked sequence can
+    straddle).
+    """
+    if t < 1 or s < 0:
+        return None
+    if s == 0:
+        return "triangles-only", {"t": t}
+    if t <= 3 and (straddle or s > t) and _base_case_available(t, s):
+        return "base-case", {"t": t, "s": s}
+    if s <= t:
+        return "twofold-direct", {"t": t, "s": s, "c_squares": t, "c_triangles": 4 * s + t}
+    if t >= 4:
+        if s <= 2 * t:
+            return "twofold-parity", {"t": t, "s": s, "table": "odd" if s % 2 else "even"}
+        if s == 2 * t + 1:
+            return "langford-block", {"t": t, "s": s, "defect": t + 1}
+        if s <= 3 * t + 1:
+            params = {"t": t, "s": s, "defect": t + 1, "k": s - (2 * t + 1)}
+            return "langford-plus-twofold", params
+        composite = _composite_rule(t, s)
+        if composite is not None:
+            return composite
+    # the smallest k whose interval admits a base of s - 4k + 1 >= 1 squares
+    case = t % 4 + 1
+    for k in range(1, s // 4 + 1):
+        s_base = s - 4 * k + 1
+        if _ext_bounds_hold(case, t // 4, k, s_base):
+            return f"extension-case{case}", {"t": t, "s": s, "k": k, "s_base": s_base}
+    if _load_gap_fixture(t, s) is not None:
+        return "gap-fixture", {"t": t, "s": s}
+    return None
+
+
 def _dispatch_c3c4(t: int, s: int, straddle: bool) -> tuple[Labelling, ConstructionTrace]:
     if t < 1:
         raise Unlabellable("windmills without triangle vanes are not covered")
     if s < 0:
         raise OutOfRange(f"need s >= 0, got {s}")
-    if s == 0:
-        return label_c3(t), ConstructionTrace("triangles-only", {"t": t})
-
-    # Extension bases at small t must carry the replaceable triangles; only
-    # the catalogued rows do (no order-3 hooked sequence can straddle).
-    if straddle and t <= 3 and _base_case_available(t, s):
-        return base_case_c3c4(t, s), ConstructionTrace("base-case", {"t": t, "s": s})
-
-    if s <= t:
-        params = {"t": t, "s": s, "c_squares": t, "c_triangles": 4 * s + t}
-        return (
-            _build_c3c4(t, s, "twofold-direct", params, straddle),
-            ConstructionTrace("twofold-direct", params),
-        )
-    if t >= 4 and s <= 2 * t:
-        params = {"t": t, "s": s, "table": "odd" if s % 2 else "even"}
-        return (
-            _build_c3c4(t, s, "twofold-parity", params, straddle),
-            ConstructionTrace("twofold-parity", params),
-        )
-    if t >= 4 and s == 2 * t + 1:
-        params = {"t": t, "s": s, "defect": t + 1}
-        return (
-            _build_c3c4(t, s, "langford-block", params, straddle),
-            ConstructionTrace("langford-block", params),
-        )
-    if t >= 4 and 2 * t + 2 <= s <= 3 * t + 1:
-        params = {"t": t, "s": s, "defect": t + 1, "k": s - (2 * t + 1)}
-        return (
-            _build_c3c4(t, s, "langford-plus-twofold", params, straddle),
-            ConstructionTrace("langford-plus-twofold", params),
-        )
-    if t >= 4:
-        located = _composite_parameters(t, s)
-        if located is not None:
-            rule, x, y = located
-            d = t + 4 * x - 1 if rule == "composite-low" else t + 4 * x + 1
-            params = {"t": t, "s": s, "x": x, "y": y, "defect": d}
-            return (
-                _build_c3c4(t, s, rule, params, straddle),
-                ConstructionTrace(rule, params),
-            )
-    if t <= 3 and _base_case_available(t, s):
+    found = _c3c4_rule(t, s, straddle)
+    if found is None:
+        raise Unlabellable(f"no rule covers C3^{t}C4^{s}")
+    rule, params = found
+    children: tuple[ConstructionTrace, ...] = ()
+    if rule == "triangles-only":
+        lab = label_c3(t)
+    elif rule == "base-case":
         lab = base_case_c3c4(t, s)
-        return lab, ConstructionTrace("base-case", {"t": t, "s": s})
-
-    found = _smallest_extension_k(t, s)
-    if found is not None:
-        k, s_base = found
-        case = _EXT_CASE_OF_RESIDUE[t % 4]
-        base, base_trace = _dispatch_c3c4(t, s_base, straddle=case in (3, 4))
-        lab = extend_c3c4(base, k, case)
-        params = {"t": t, "s": s, "k": k, "s_base": s_base}
-        return lab, ConstructionTrace(f"extension-case{case}", params, (base_trace,))
-
-    gap = _load_gap_fixture(t, s)
-    if gap is not None:
-        return gap, ConstructionTrace("gap-fixture", {"t": t, "s": s})
-    raise Unlabellable(f"no rule covers C3^{t}C4^{s}")
+    elif rule == "gap-fixture":
+        lab = _load_gap_fixture(t, s)
+    elif rule.startswith("extension-case"):
+        case = t % 4 + 1
+        base, base_trace = _dispatch_c3c4(t, params["s_base"], straddle=case in (3, 4))
+        lab, children = extend_c3c4(base, params["k"], case), (base_trace,)
+    else:
+        lab = _build_c3c4(t, s, rule, params, straddle)
+    return lab, ConstructionTrace(rule, params, children)
 
 
 def label_c3c4(t: int, s: int) -> tuple[Labelling, ConstructionTrace]:
@@ -464,42 +442,20 @@ def label_c3c4(t: int, s: int) -> tuple[Labelling, ConstructionTrace]:
 
 
 def replay(trace: ConstructionTrace) -> bool:
-    """Re-check a trace's parameters against its rule's preconditions."""
+    """Re-derive every node's rule and parameters from its cell and compare."""
     p = trace.parameters
-    rule = trace.rule
-    ok = True
-    if rule == "twofold-direct":
-        ok = 1 <= p["s"] <= p["t"]
-    elif rule == "twofold-parity":
-        ok = p["t"] >= 4 and p["t"] < p["s"] <= 2 * p["t"]
-    elif rule == "langford-block":
-        ok = p["t"] >= 4 and p["s"] == 2 * p["t"] + 1 and p["defect"] == p["t"] + 1
-    elif rule == "langford-plus-twofold":
-        ok = p["t"] >= 4 and 2 * p["t"] + 2 <= p["s"] <= 3 * p["t"] + 1 and 1 <= p["k"] <= p["t"]
-    elif rule in ("composite-low", "composite-high"):
-        t, s, x, y = p["t"], p["s"], p["x"], p["y"]
-        ok = (
-            t >= 4
-            and 0 <= y <= 4
-            and x >= 1
-            and t >= 2 * x - 3
-            and 3 * t + 2 <= s
-            and 2 * s <= 13 * t + 37
-            and s == (2 * t + 9 * x + y - 3 if rule == "composite-low" else 2 * t + 9 * x + y + 1)
-        )
-    elif rule.startswith("extension-case"):
-        case = int(rule[-1])
-        t, s, k, s_base = p["t"], p["s"], p["k"], p["s_base"]
-        ok = (
-            _EXT_CASE_OF_RESIDUE[t % 4] == case
-            and s == s_base + 4 * k - 1
-            and _ext_bounds_hold(case, t // 4, k, s_base)
-        )
-    elif rule == "base-case":
-        ok = p["t"] in (1, 2, 3) and _base_case_available(p["t"], p["s"])
-    elif rule == "gap-fixture":
-        ok = _load_gap_fixture(p["t"], p["s"]) is not None
-    return ok and all(replay(child) for child in trace.children)
+    return _replay(trace, p["t"], p.get("s", 0), straddle=False)
+
+
+def _replay(trace: ConstructionTrace, t: int, s: int, straddle: bool) -> bool:
+    if _c3c4_rule(t, s, straddle) != (trace.rule, trace.parameters):
+        return False
+    if not trace.rule.startswith("extension-case"):
+        return not trace.children
+    case = t % 4 + 1
+    return len(trace.children) == 1 and _replay(
+        trace.children[0], t, trace.parameters["s_base"], straddle=case in (3, 4)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +573,9 @@ GAP = "GAP"
 def coverage_audit(t_max: int, s_max: int) -> dict[tuple[int, int], str]:
     """Which rule the dispatcher would use per cell; GAP where none applies.
 
-    This replays the dispatch arithmetic only (no labellings are built); a
-    cell counts as extension-covered only if some admissible k leads back to
-    a covered cell.
+    This reads the dispatcher's rule function only (no labellings are built).
+    Gap-fixture cells count as GAP, and an extension cell counts as covered
+    only if its smallest-k base cell is covered or has a gap fixture.
     """
     if t_max < 1 or s_max < 1:
         raise OutOfRange("audit bounds must be >= 1")
@@ -631,33 +587,14 @@ def coverage_audit(t_max: int, s_max: int) -> dict[tuple[int, int], str]:
 
 
 def _audit_cell(t: int, s: int, grid: dict[tuple[int, int], str]) -> str:
-    if s == 0:
-        return "triangles-only"
-    if s <= t:
-        return "twofold-direct"
-    if t >= 4 and s <= 2 * t:
-        return "twofold-parity"
-    if t >= 4 and s == 2 * t + 1:
-        return "langford-block"
-    if t >= 4 and 2 * t + 2 <= s <= 3 * t + 1:
-        return "langford-plus-twofold"
-    if t >= 4:
-        located = _composite_parameters(t, s)
-        if located is not None:
-            return located[0]
-    if t <= 3 and _base_case_available(t, s):
-        return "base-case"
-    case = _EXT_CASE_OF_RESIDUE[t % 4]
-    w = t // 4
-    if not (case == 1 and w < 1):
-        for k in range(1, (s + 2) // 4 + 1):
-            s_base = s - 4 * k + 1
-            if s_base < 1:
-                break
-            if _ext_bounds_hold(case, w, k, s_base):
-                base_rule = grid.get((t, s_base))
-                if base_rule is None:
-                    base_rule = _audit_cell(t, s_base, grid)
-                if base_rule != GAP:
-                    return "extension"
+    """One cell's audit label; ``grid`` already holds the cells (t, s' < s)."""
+    found = _c3c4_rule(t, s)
+    if found is None or found[0] == "gap-fixture":
+        return GAP
+    rule, params = found
+    if not rule.startswith("extension-case"):
+        return rule
+    s_base = params["s_base"]
+    if grid[(t, s_base)] != GAP or _load_gap_fixture(t, s_base) is not None:
+        return "extension"
     return GAP

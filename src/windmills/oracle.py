@@ -227,10 +227,7 @@ def search_sequence(
     def place(idx: int) -> bool:
         if idx == len(symbols):
             seq = SkolemTypeSequence(tuple(entries))
-            if kind.tag in ("near-skolem", "hooked-near-skolem"):
-                report = validate(seq, kind)
-            else:
-                report = validate(seq, kind)
+            report = validate(seq, kind)
             if not report.ok:  # pragma: no cover - layout and validator agree
                 raise AssertionError(f"search produced invalid sequence: {report.violations}")
             results.append(seq)

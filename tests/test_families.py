@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from windmills.errors import (
 from windmills.families import (
     GAP,
     RULES,
+    ConstructionTrace,
     base_case_c3c4,
     coverage_audit,
     extend_c3c4,
@@ -335,16 +337,52 @@ def test_coverage_audit_expected_gaps():
 
 
 def test_coverage_audit_matches_dispatch_rules():
-    grid = coverage_audit(10, 12)
-    assert grid[(10, 10)] == "twofold-direct"
-    for (t, s), rule in grid.items():
-        lab, trace = label_c3c4(t, s)
-        if rule == "extension":
-            assert trace.rule.startswith("extension-case")
-        elif rule == GAP:
-            assert trace.rule == "gap-fixture"
-        else:
-            assert trace.rule == rule, (t, s, rule, trace.rule)
+    assert coverage_audit(10, 12)[(10, 10)] == "twofold-direct"
+    # (3, 110) holds the straddled base-case cells such as (3, 22) and the
+    # cells whose smallest-k base is a gap fixture such as (1, 84), (3, 79)
+    for t_max, s_max in [(10, 12), (3, 110)]:
+        for (t, s), rule in coverage_audit(t_max, s_max).items():
+            lab, trace = label_c3c4(t, s)
+            assert replay(trace), (t, s)
+            if rule == "extension":
+                assert trace.rule.startswith("extension-case")
+            elif rule == GAP:
+                assert trace.rule == "gap-fixture"
+            else:
+                assert trace.rule == rule, (t, s, rule, trace.rule)
+
+
+def test_straddled_base_case_trace():
+    _, trace = label_c3c4(3, 22)
+    assert trace.format() == "extension-case4(t=3, s=22, k=5, s_base=3)\n  base-case(t=3, s=3)"
+
+
+def test_replay_rejects_unbuildable_base():
+    # a straddled order-3 base cannot come from the direct recipe
+    _, trace = label_c3c4(3, 22)
+    direct = ConstructionTrace(
+        "twofold-direct", {"t": 3, "s": 3, "c_squares": 3, "c_triangles": 15}
+    )
+    assert not replay(replace(trace, children=(direct,)))
+
+
+@pytest.mark.parametrize("dk", [-1, 1])
+def test_replay_rejects_extension_k_off_by_one(dk):
+    _, trace = label_c3c4(4, 100)
+    p = trace.parameters
+    k, s_base = p["k"] + dk, p["s_base"] - 4 * dk
+    _, base_trace = label_c3c4(4, s_base)
+    tampered = replace(
+        trace, parameters={**p, "k": k, "s_base": s_base}, children=(base_trace,)
+    )
+    assert not replay(tampered)
+
+
+def test_replay_rejects_relabelled_rule():
+    _, trace = label_c3c4(4, 3)
+    assert trace.rule == "twofold-direct"
+    assert not replay(replace(trace, rule="twofold-parity"))
+    assert not replay(ConstructionTrace("twofold-parity", {"t": 4, "s": 3, "table": "odd"}))
 
 
 def test_gap_cells_still_label():
