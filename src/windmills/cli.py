@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import families, oracle
-from .errors import MalformedLabelling, Unlabellable, WindmillError
+from .errors import MalformedLabelling, SearchBudgetExhausted, Unlabellable, WindmillError
 from .sequences import (
     SequenceKind,
     fixed_small_twofold,
@@ -314,6 +314,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except SearchBudgetExhausted as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except WindmillError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -35,6 +35,10 @@ class HookedOperand(WindmillError):
     """Concatenation and doubling require hook-free operands."""
 
 
+class SearchBudgetExhausted(WindmillError):
+    """A construction search used up its node budget without an answer."""
+
+
 # -- assembly layer ---------------------------------------------------------
 
 class ShiftTooSmall(WindmillError):

@@ -36,6 +36,8 @@ from .errors import (
 from .sequences import (
     SequenceKind,
     SkolemTypeSequence,
+    _ensure_valid,
+    _search_pairs,
     concat,
     double,
     exists,
@@ -48,7 +50,6 @@ from .sequences import (
     gen_twofold_skolem,
     langford_sequence,
     pairs_of,
-    validate,
 )
 from .windmill import (
     GRACEFUL,
@@ -149,58 +150,20 @@ def _is_straddling(seq: SkolemTypeSequence, t: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _straddling_hooked(t: int) -> SkolemTypeSequence | None:
-    """Hooked Skolem sequence of order t with forced hook-adjacent pairs."""
-    length = 2 * t + 1
-    entries = [0] * length
+    """Hooked Skolem sequence of order t with forced hook-adjacent pairs.
+
+    The forced pairs and the hook fill a fixed tail; a search tiles the head.
+    """
     if t % 4 == 2:
-        forced = {2: (2 * t - 1, 2 * t + 1)}
+        tail, forced = (2, 0, 2), {2}
     elif t % 4 == 3:
-        forced = {1: (2 * t - 2, 2 * t - 1), 4: (2 * t - 3, 2 * t + 1)}
+        tail, forced = (4, 1, 1, 0, 4), {1, 4}
     else:
         return None
-    for sym, (a, b) in forced.items():
-        entries[a - 1] = entries[b - 1] = sym
-    remaining = set(range(1, t + 1)) - set(forced)
-    free_limit = 2 * t - 2 if t % 4 == 2 else 2 * t - 4
-
-    def fill() -> bool:
-        if not remaining:
-            return True
-        best_opts: list[tuple[int, int]] | None = None
-        for cell in range(1, free_limit + 1):
-            if entries[cell - 1] != 0:
-                continue
-            opts = []
-            for sym in remaining:
-                right = cell + sym
-                if right <= free_limit and entries[right - 1] == 0:
-                    opts.append((sym, cell))
-                left = cell - sym
-                if left >= 1 and entries[left - 1] == 0:
-                    opts.append((sym, left))
-            if not opts:
-                return False
-            if best_opts is None or len(opts) < len(best_opts):
-                best_opts = opts
-                if len(opts) == 1:
-                    break
-        if best_opts is None:
-            return not remaining
-        for sym, a in sorted(best_opts, key=lambda x: (-x[0], x[1])):
-            entries[a - 1] = entries[a + sym - 1] = sym
-            remaining.remove(sym)
-            if fill():
-                return True
-            remaining.add(sym)
-            entries[a - 1] = entries[a + sym - 1] = 0
-        return False
-
-    if not fill():
+    head = _search_pairs(set(range(1, t + 1)) - forced, 2 * t + 1 - len(tail))
+    if head is None:
         return None
-    seq = SkolemTypeSequence(tuple(entries))
-    if not validate(seq, SequenceKind("hooked-skolem")).ok:  # pragma: no cover
-        return None
-    return seq
+    return _ensure_valid(SkolemTypeSequence(head + tail), SequenceKind("hooked-skolem"))
 
 
 def label_c3(t: int) -> Labelling:
@@ -549,8 +512,7 @@ def label_c3c6(t: int, h: int) -> Labelling:
     if h > 2 * t + 1:
         raise TooManyHexagons(f"h={h} exceeds the bound 2t+1={2 * t + 1}")
     n = t + 2 * h
-    seq = gen_skolem(n) if n % 4 in (0, 1) else gen_hooked_skolem(n)
-    vanes = list(triples_from_pairs(pairs_of(seq), c=n, variant=2))
+    vanes = list(triples_from_pairs(pairs_of(_triangle_sequence(n)), c=n, variant=2))
     pair_pool = _hexagon_pair_rows(n)
     if len(pair_pool) < h:  # pragma: no cover - equivalent to the h bound
         raise TooManyHexagons(f"only {len(pair_pool)} mergeable pairs for n={n}")

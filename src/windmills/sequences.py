@@ -20,6 +20,7 @@ from .errors import (
     InvalidSequence,
     NoSuchSequence,
     OutOfRange,
+    SearchBudgetExhausted,
     UnknownKind,
     UnmatchedSymbol,
     UnsupportedOrder,
@@ -113,14 +114,7 @@ class PairSet:
 
     def to_entries(self) -> SkolemTypeSequence:
         """Rebuild the sequence; uncovered positions become hooks (0)."""
-        entries = [0] * self.length
-        for sym, prs in self._pairs.items():
-            for a, b in prs:
-                for pos in (a, b):
-                    if entries[pos - 1] != 0:
-                        raise InvalidSequence(f"position {pos} assigned twice")
-                    entries[pos - 1] = sym
-        return SkolemTypeSequence(tuple(entries))
+        return _seq_from_pairs(self._pairs, self.length)
 
     def __eq__(self, other) -> bool:
         return (
@@ -705,8 +699,7 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
     """A Langford sequence with defect d and order l.
 
     Orders 2d-1 come from the closed-form table.  Larger admissible orders are
-    found by a deterministic backtracking search (largest symbol first,
-    leftmost position first); the first solution is cached.
+    found by ``_search_pairs``; the first solution is cached.
     """
     if not exists("langford", order=l, defect=d):
         raise NoSuchSequence(f"no Langford sequence with defect {d} and order {l}")
@@ -723,13 +716,34 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
                 return _ensure_valid(seq, SequenceKind("langford", defect=d))
         except NoSuchSequence:
             pass
-    length = 2 * l
+    entries = _search_pairs(range(d, d + l), 2 * l)
+    if entries is None:
+        raise NoSuchSequence(f"search found no Langford sequence d={d}, l={l}")
+    seq = SkolemTypeSequence(entries)
+    return _ensure_valid(seq, SequenceKind("langford", defect=d))
+
+
+# Placements one _search_pairs call may make before it gives up.  The largest
+# search the benchmark and the tests run needs about 220,000.
+_SEARCH_NODE_BUDGET = 1_000_000
+
+
+def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
+    """Place one pair of every symbol so that the pairs tile positions 1..length.
+
+    A deterministic backtracking search: it branches on the most constrained
+    empty cell, and tries the largest symbol first, then the leftmost position.
+    Returns the entries of the first tiling found, or None when none exists.
+    Raises SearchBudgetExhausted after ``_SEARCH_NODE_BUDGET`` placements.
+    """
     entries = [0] * length
-    remaining = set(range(d, d + l))
+    remaining = set(symbols)
+    nodes = 0
 
     # Branch on the most constrained empty cell; every unplaced symbol either
     # covers it or the branch dies, which tames the tight high-defect cases.
     def fill() -> bool:
+        nonlocal nodes
         if not remaining:
             return True
         best_cell = -1
@@ -754,6 +768,11 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
         if best_cell < 0:
             return not remaining
         for sym, a in sorted(best_opts, key=lambda t: (-t[0], t[1])):
+            nodes += 1
+            if nodes > _SEARCH_NODE_BUDGET:
+                raise SearchBudgetExhausted(
+                    f"pair search on {length} cells passed {_SEARCH_NODE_BUDGET} placements"
+                )
             entries[a - 1] = entries[a + sym - 1] = sym
             remaining.remove(sym)
             if fill():
@@ -762,7 +781,4 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
             entries[a - 1] = entries[a + sym - 1] = 0
         return False
 
-    if not fill():
-        raise NoSuchSequence(f"search found no Langford sequence d={d}, l={l}")
-    seq = SkolemTypeSequence(tuple(entries))
-    return _ensure_valid(seq, SequenceKind("langford", defect=d))
+    return tuple(entries) if fill() else None

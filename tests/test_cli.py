@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from windmills import families, sequences
 from windmills.cli import main
 from windmills.windmill import from_json, verify
 
@@ -129,6 +130,14 @@ def test_oracle_budget_exit(capsys):
         capsys, "oracle", "--graph", "c3=3,c4=3", "--mode", "graceful", "--budget", "3"
     )
     assert code == 4 and "budget" in out
+
+
+def test_label_search_budget_exit(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
+    sequences.langford_sequence.cache_clear()
+    families._straddling_hooked.cache_clear()
+    code, _, err = run(capsys, "label", "--graph", "c3=24,c5=8")
+    assert code == 4 and "SearchBudgetExhausted" in err
 
 
 def test_oracle_sequence(capsys):

@@ -15,6 +15,8 @@ from windmills.families import (
     GAP,
     RULES,
     ConstructionTrace,
+    _is_straddling,
+    _straddling_hooked,
     base_case_c3c4,
     coverage_audit,
     extend_c3c4,
@@ -25,6 +27,7 @@ from windmills.families import (
     label_c5,
     replay,
 )
+from windmills.sequences import SequenceKind, gen_hooked_skolem, validate
 from windmills.windmill import (
     GRACEFUL,
     NEAR_GRACEFUL,
@@ -355,6 +358,40 @@ def test_coverage_audit_matches_dispatch_rules():
 def test_straddled_base_case_trace():
     _, trace = label_c3c4(3, 22)
     assert trace.format() == "extension-case4(t=3, s=22, k=5, s_base=3)\n  base-case(t=3, s=3)"
+
+
+@pytest.mark.parametrize(
+    "t,entries",
+    [
+        (7, (7, 5, 2, 6, 2, 3, 5, 7, 3, 6, 4, 1, 1, 0, 4)),
+        (10, (10, 8, 6, 4, 9, 7, 5, 4, 6, 8, 10, 5, 7, 9, 3, 1, 1, 3, 2, 0, 2)),
+        (
+            11,
+            (11, 9, 5, 10, 2, 7, 2, 5, 8, 6, 9, 11, 7, 10, 3, 6, 8, 3, 4, 1, 1, 0, 4),
+        ),
+    ],
+)
+def test_straddling_hooked_search_first_solution(t, entries):
+    assert _straddling_hooked(t).entries == entries
+
+
+def test_straddling_hooked_carries_hook_adjacent_pairs():
+    for t in range(7, 22):
+        if t % 4 in (2, 3):
+            seq = _straddling_hooked(t)
+            assert validate(seq, SequenceKind("hooked-skolem")).ok, t
+            assert _is_straddling(seq, t), t
+
+
+def test_straddled_langford_base_trace():
+    # the closed-form hooked sequence of order 7 does not straddle the hook,
+    # so the base of this extension takes its triangles from the search
+    assert not _is_straddling(gen_hooked_skolem(7), 7)
+    lab, trace = label_c3c4(7, 70)
+    assert verify(lab).ok
+    assert trace.format() == (
+        "extension-case4(t=7, s=70, k=14, s_base=15)\n  langford-block(t=7, s=15, defect=8)"
+    )
 
 
 def test_replay_rejects_unbuildable_base():

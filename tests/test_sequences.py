@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windmills import sequences
 from windmills.errors import (
     HookedOperand,
     NoSuchSequence,
     OutOfRange,
+    SearchBudgetExhausted,
     UnknownKind,
     UnmatchedSymbol,
     UnsupportedOrder,
@@ -284,6 +286,14 @@ def test_langford_sequence_search():
     assert validate(s2, SequenceKind("langford", defect=3)).ok
     with pytest.raises(NoSuchSequence):
         langford_sequence(2, 5)
+
+
+def test_langford_search_budget(monkeypatch):
+    # (9, 24) takes 3,071 placements, so a budget of 100 cuts it off
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
+    langford_sequence.cache_clear()
+    with pytest.raises(SearchBudgetExhausted):
+        langford_sequence(9, 24)
 
 
 def test_parse_sequence_roundtrip():
