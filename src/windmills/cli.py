@@ -13,6 +13,7 @@ import sys
 from . import families, oracle
 from .errors import MalformedLabelling, SearchBudgetExhausted, Unlabellable, WindmillError
 from .sequences import (
+    KNOWN_TAGS,
     SequenceKind,
     fixed_small_twofold,
     gen_hooked_skolem,
@@ -39,29 +40,17 @@ EXIT_UNSUPPORTED = 2
 EXIT_MALFORMED = 3
 EXIT_BUDGET = 4
 
-_GEN_KINDS = (
-    "skolem",
-    "hooked-skolem",
-    "langford2d",
-    "near-top",
-    "twofold-skolem",
-    "power4",
-    "twofold-langford",
-    "small-c",
-)
-
-_VALIDATE_KINDS = (
-    "skolem",
-    "hooked-skolem",
-    "near-skolem",
-    "hooked-near-skolem",
-    "langford",
-    "hooked-langford",
-    "skolem-type",
-    "two-fold-skolem",
-    "two-fold-langford",
-    "two-fold-skolem-type",
-)
+# kind -> (the option that sizes it, its generator)
+_GEN_KINDS = {
+    "skolem": ("order", gen_skolem),
+    "hooked-skolem": ("order", gen_hooked_skolem),
+    "langford2d": ("defect", gen_langford_doubledefect),
+    "near-top": ("order", gen_near_skolem_topdefect),
+    "twofold-skolem": ("order", gen_twofold_skolem),
+    "power4": ("order", gen_power4),
+    "twofold-langford": ("order", gen_twofold_langford),
+    "small-c": ("order", fixed_small_twofold),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,20 +64,23 @@ def _build_parser() -> argparse.ArgumentParser:
     seq_sub = seq.add_subparsers(dest="seq_command", required=True)
 
     gen = seq_sub.add_parser("gen", help="generate a sequence")
+    gen.set_defaults(run=_cmd_seq_gen)
     gen.add_argument("--kind", required=True, choices=_GEN_KINDS)
     gen.add_argument("--order", type=int, help="order (or block index for power4/small-c)")
     gen.add_argument("--defect", type=int, help="defect (langford2d)")
     gen.add_argument("--trimmed", action="store_true", help="drop the trailing (1,1) pair (power4)")
 
     val = seq_sub.add_parser("validate", help="validate a comma-separated sequence")
+    val.set_defaults(run=_cmd_seq_validate)
     src = val.add_mutually_exclusive_group(required=True)
     src.add_argument("--stdin", action="store_true")
     src.add_argument("--file")
-    val.add_argument("--kind", required=True, choices=_VALIDATE_KINDS)
+    val.add_argument("--kind", required=True, choices=KNOWN_TAGS)
     val.add_argument("--defect", type=int)
     val.add_argument("--fragment", action="store_true", help="allow half-paired symbols")
 
     label = sub.add_parser("label", help="label a windmill")
+    label.set_defaults(run=_cmd_label)
     label.add_argument("--graph", required=True, help='e.g. "c3=4,c4=3"')
     fmt = label.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -97,25 +89,29 @@ def _build_parser() -> argparse.ArgumentParser:
     label.add_argument("--trace", action="store_true", help="print the construction trace")
 
     ver = sub.add_parser("verify", help="verify a labelling JSON file")
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("--file", required=True)
     ver.add_argument("--permissive-near", action="store_true")
 
     orc = sub.add_parser("oracle", help="exhaustive search")
+    orc.set_defaults(run=_cmd_oracle)
     orc.add_argument("--graph", help="windmill spec to search")
     orc.add_argument("--mode", choices=("graceful", "near-graceful"))
     orc.add_argument("--max-label", type=int)
     orc.add_argument("--budget", type=int, help="node budget")
-    orc.add_argument("--seq-kind", choices=_VALIDATE_KINDS)
+    orc.add_argument("--seq-kind", choices=KNOWN_TAGS)
     orc.add_argument("--order", type=int)
     orc.add_argument("--defect", type=int)
     orc.add_argument("--all", action="store_true", help="enumerate all sequences")
 
     audit = sub.add_parser("audit", help="rule coverage per (t, s) cell")
+    audit.set_defaults(run=_cmd_audit)
     audit.add_argument("--t-max", type=int, required=True)
     audit.add_argument("--s-max", type=int, required=True)
     audit.add_argument("--csv", action="store_true")
 
     sweep = sub.add_parser("sweep", help="label and verify a parameter grid")
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--family", choices=("c3c4",), default="c3c4")
     sweep.add_argument("--t", required=True, help="range A..B")
     sweep.add_argument("--s", required=True, help="range A..B")
@@ -135,23 +131,11 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_seq_gen(args) -> int:
-    kind = args.kind
-    if kind == "langford2d":
-        if args.defect is None:
-            raise MalformedLabelling("langford2d needs --defect")
-        seq = gen_langford_doubledefect(args.defect)
-    else:
-        if args.order is None:
-            raise MalformedLabelling(f"{kind} needs --order")
-        n = args.order
-        seq = {
-            "skolem": gen_skolem,
-            "hooked-skolem": gen_hooked_skolem,
-            "near-top": gen_near_skolem_topdefect,
-            "twofold-skolem": gen_twofold_skolem,
-            "twofold-langford": gen_twofold_langford,
-            "small-c": fixed_small_twofold,
-        }.get(kind, lambda n: gen_power4(n, trimmed=args.trimmed))(n)
+    option, generate = _GEN_KINDS[args.kind]
+    size = getattr(args, option)
+    if size is None:
+        raise MalformedLabelling(f"{args.kind} needs --{option}")
+    seq = generate(size, trimmed=args.trimmed) if args.kind == "power4" else generate(size)
     print(seq.to_text())
     return EXIT_OK
 
@@ -291,23 +275,9 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "seq":
-            if args.seq_command == "gen":
-                return _cmd_seq_gen(args)
-            return _cmd_seq_validate(args)
-        if args.command == "label":
-            return _cmd_label(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        return args.run(args)
     except MalformedLabelling as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -320,7 +290,6 @@ def main(argv=None) -> int:
     except WindmillError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    return EXIT_MALFORMED  # pragma: no cover - argparse enforces commands
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,25 +61,6 @@ from .windmill import (
     verify,
 )
 
-RULES = frozenset(
-    {
-        "triangles-only",
-        "twofold-direct",
-        "twofold-parity",
-        "langford-block",
-        "langford-plus-twofold",
-        "composite-low",
-        "composite-high",
-        "extension-case1",
-        "extension-case2",
-        "extension-case3",
-        "extension-case4",
-        "base-case",
-        "gap-fixture",
-    }
-)
-
-
 @dataclass
 class ConstructionTrace:
     """Which rule produced a labelling, with the parameters it chose."""
@@ -209,15 +190,6 @@ def _ext_required_triangles(case: int, w: int, s: int) -> list[tuple[int, int]]:
     return []
 
 
-def _ext_replacement_triangles(case: int, w: int, s: int, k: int) -> list[tuple[int, int]]:
-    base = 16 * k + 4 * s + 12 * w
-    if case == 3:
-        return [(base + 1, base + 3)]
-    if case == 4:
-        return [(base + 3, base + 4), (base + 2, base + 6)]
-    return []
-
-
 def extend_c3c4(base: Labelling, k: int, case: int) -> Labelling:
     """Graft 4k-1 squares onto a triangle+square labelling.
 
@@ -248,13 +220,12 @@ def extend_c3c4(base: Labelling, k: int, case: int) -> Labelling:
         raise MalformedLabelling(f"case {case} needs a {expected} base")
 
     vanes = list(base.vanes)
-    for (a, b), (na, nb) in zip(
-        _ext_required_triangles(case, w, s), _ext_replacement_triangles(case, w, s, k)
-    ):
+    shift = 16 * k - 4  # each replacement is its required triangle translated
+    for a, b in _ext_required_triangles(case, w, s):
         target = {0, a, b}
         for idx, vane in enumerate(vanes):
             if len(vane) == 3 and set(vane) == target:
-                vanes[idx] = (0, na, nb)
+                vanes[idx] = (0, a + shift, b + shift)
                 break
         else:
             raise MissingRequiredTriangle(f"base lacks triangle (0, {a}, {b})")
@@ -289,37 +260,41 @@ def _composite_rule(t: int, s: int) -> tuple[str, dict] | None:
     return rule, {"t": t, "s": s, "x": x, "y": y, "defect": defect}
 
 
-def _composite_sequence(rule: str, x: int, y: int, defect: int) -> SkolemTypeSequence:
-    if rule == "composite-low":
-        # trimmed power-of-4 prefix, double Langford core, the closing (1,1),
-        # then one of the small catalogued two-fold sequences
-        parts = [
-            gen_power4(x, trimmed=True),
-            double(gen_langford_doubledefect(defect)),
+def _double_langford(params: dict) -> SkolemTypeSequence:
+    return double(gen_langford_doubledefect(params["defect"]))
+
+
+# rule -> the two-fold composite whose pairs become the rule's square block
+_SQUARE_BLOCKS = {
+    "twofold-direct": lambda p: gen_twofold_skolem(p["s"]),
+    "twofold-parity": lambda p: gen_twofold_skolem(p["s"]),
+    "langford-block": _double_langford,
+    "langford-plus-twofold": lambda p: concat([_double_langford(p), gen_twofold_skolem(p["k"])]),
+    # trimmed power-of-4 prefix, double Langford core, the closing (1,1),
+    # then one of the small catalogued two-fold sequences
+    "composite-low": lambda p: concat(
+        [
+            gen_power4(p["x"], trimmed=True),
+            _double_langford(p),
             gen_power4(0, trimmed=True),
-            fixed_small_twofold(y),
+            fixed_small_twofold(p["y"]),
         ]
-    else:
-        parts = [
-            gen_power4(x),
-            double(gen_langford_doubledefect(defect)),
-            fixed_small_twofold(y),
-        ]
-    return concat(parts)
+    ),
+    "composite-high": lambda p: concat(
+        [gen_power4(p["x"]), _double_langford(p), fixed_small_twofold(p["y"])]
+    ),
+}
+
+RULES = frozenset(_SQUARE_BLOCKS) | {
+    "triangles-only",
+    "base-case",
+    "gap-fixture",
+    *(f"extension-case{case}" for case in _EXT_OFFSETS),
+}
 
 
 def _build_c3c4(t: int, s: int, rule: str, params: dict, straddle: bool) -> Labelling:
-    if rule == "twofold-direct" or rule == "twofold-parity":
-        composite = gen_twofold_skolem(s)
-    elif rule == "langford-block":
-        composite = double(gen_langford_doubledefect(params["defect"]))
-    elif rule == "langford-plus-twofold":
-        composite = concat(
-            [double(gen_langford_doubledefect(params["defect"])), gen_twofold_skolem(params["k"])]
-        )
-    else:
-        composite = _composite_sequence(rule, params["x"], params["y"], params["defect"])
-    quads = quadruples_from_twofold(composite, c=t)
+    quads = quadruples_from_twofold(_SQUARE_BLOCKS[rule](params), c=t)
     if len(quads) != s:  # pragma: no cover - arithmetic guarantee
         raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
     tris = triples_from_pairs(

@@ -155,19 +155,17 @@ def pairs_of(seq: SkolemTypeSequence) -> PairSet:
 # Sequence kinds and validation
 # ---------------------------------------------------------------------------
 
-KNOWN_TAGS = frozenset(
-    {
-        "skolem",
-        "hooked-skolem",
-        "near-skolem",
-        "hooked-near-skolem",
-        "langford",
-        "hooked-langford",
-        "skolem-type",
-        "two-fold-skolem",
-        "two-fold-langford",
-        "two-fold-skolem-type",
-    }
+KNOWN_TAGS = (
+    "skolem",
+    "hooked-skolem",
+    "near-skolem",
+    "hooked-near-skolem",
+    "langford",
+    "hooked-langford",
+    "skolem-type",
+    "two-fold-skolem",
+    "two-fold-langford",
+    "two-fold-skolem-type",
 )
 
 _DEFECT_TAGS = frozenset(

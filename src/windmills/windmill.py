@@ -53,10 +53,6 @@ class WindmillSpec:
     def edge_count(self) -> int:
         return sum(length * count for length, count in self.vanes)
 
-    @property
-    def vane_count(self) -> int:
-        return sum(count for _, count in self.vanes)
-
     def count_of(self, length: int) -> int:
         for l, c in self.vanes:
             if l == length:
@@ -120,9 +116,6 @@ class Labelling:
     def vertex_labels(self) -> list[int]:
         """All non-central labels, with multiplicity."""
         return [label for vane in self.vanes for label in vane[1:]]
-
-    def vanes_of_length(self, length: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(v for v in self.vanes if len(v) == length)
 
 
 def edge_multiset(labelling: Labelling) -> Counter:

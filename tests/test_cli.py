@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -47,6 +48,26 @@ def test_seq_gen_kinds(capsys):
 def test_seq_gen_unsupported_order(capsys):
     code, _, err = run(capsys, "seq", "gen", "--kind", "skolem", "--order", "6")
     assert code == 2 and "NoSuchSequence" in err
+
+
+def test_seq_validate_missing_defect(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("4,2,3,2,4,3"))
+    code, out, err = run(capsys, "seq", "validate", "--stdin", "--kind", "langford")
+    assert code == 3 and out == ""
+    assert err == "error: kind 'langford' needs a positive defect\n"
+
+
+def test_label_text_default(capsys):
+    code, out, _ = run(capsys, "label", "--graph", "c3=4")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "c3=4  m=12  mode=graceful"
+    assert len(lines) == 5 and all(line.startswith("  0,") for line in lines[1:])
+
+
+def test_label_trace_single_rule_family(capsys):
+    code, out, _ = run(capsys, "label", "--graph", "c3=4", "--trace")
+    assert code == 0 and out == "(single-rule family; no trace recorded)\n"
 
 
 def test_label_json_roundtrips_through_verify(capsys, tmp_path):
@@ -165,3 +186,29 @@ def test_sweep_csv(capsys):
     assert lines[0] == "t,s,m,mode,rule,verified"
     assert len(lines) == 7
     assert all(line.endswith("True") for line in lines[1:])
+
+
+def test_audit_text(capsys):
+    code, out, _ = run(capsys, "audit", "--t-max", "1", "--s-max", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "t=1 s=0: triangles-only",
+        "t=1 s=1: twofold-direct",
+        "t=1 s=2: base-case",
+        "0 gap cells: []",
+    ]
+
+
+def test_sweep_text(capsys):
+    code, out, _ = run(capsys, "sweep", "--t", "4", "--s", "0..1")
+    assert code == 0
+    assert out.splitlines() == [
+        "t=4 s=0 m=12 graceful via triangles-only: ok",
+        "t=4 s=1 m=16 graceful via twofold-direct: ok",
+    ]
+
+
+def test_sweep_bad_range(capsys):
+    code, out, err = run(capsys, "sweep", "--t", "x", "--s", "0..1")
+    assert code == 3 and out == ""
+    assert err == "error: bad range 'x'\n"

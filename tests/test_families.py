@@ -279,6 +279,13 @@ def test_label_c3c5_uncovered():
         label_c3c5(10, 4)  # residue pair outside the covered grid
 
 
+def test_label_c3c5_long_langford_order():
+    # t = 12 >= 8(p + 1) - 4 takes langford_sequence's split head and tail
+    lab = label_c3c5(12, 1)
+    assert lab.mode == NEAR_GRACEFUL and lab.spec.edge_count == 41
+    assert verify(lab).ok
+
+
 @pytest.mark.parametrize("p", range(1, 9))
 def test_label_c3c5_grid(p):
     covered = 0

@@ -288,6 +288,15 @@ def test_langford_sequence_search():
         langford_sequence(2, 5)
 
 
+def test_langford_sequence_long_order_split():
+    # l >= 8d - 4: the closed-form defect-d head, then a Langford tail of defect
+    # 3d - 1 (here again closed form); the search alone finds another sequence
+    langford_sequence.cache_clear()
+    assert langford_sequence(2, 12) == concat(
+        [gen_langford_doubledefect(2), gen_langford_doubledefect(5)]
+    )
+
+
 def test_langford_search_budget(monkeypatch):
     # (9, 24) takes 3,071 placements, so a budget of 100 cuts it off
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
