@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(run=_cmd_oracle)
     orc.add_argument("--graph", help="windmill spec to search")
     orc.add_argument("--mode", choices=("graceful", "near-graceful"))
-    orc.add_argument("--max-label", type=int)
+    orc.add_argument("--max-label", type=int, help="largest vertex label to try")
     orc.add_argument("--budget", type=int, help="node budget")
     orc.add_argument("--seq-kind", choices=KNOWN_TAGS)
     orc.add_argument("--order", type=int)
@@ -130,11 +130,21 @@ def _parse_range(text: str) -> range:
         raise MalformedLabelling(f"bad range {text!r}") from exc
 
 
+def _reject_unread(args, reader: str, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise MalformedLabelling(f"{reader} does not read --{name.replace('_', '-')}")
+
+
 def _cmd_seq_gen(args) -> int:
     option, generate = _GEN_KINDS[args.kind]
     size = getattr(args, option)
     if size is None:
         raise MalformedLabelling(f"{args.kind} needs --{option}")
+    _reject_unread(args, args.kind, "defect" if option == "order" else "order")
+    if args.kind != "power4":
+        _reject_unread(args, args.kind, "trimmed")
     seq = generate(size, trimmed=args.trimmed) if args.kind == "power4" else generate(size)
     print(seq.to_text())
     return EXIT_OK
@@ -209,6 +219,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.graph:
+        _reject_unread(args, "oracle --graph", "seq_kind", "order", "defect", "all")
         if not args.mode:
             raise MalformedLabelling("oracle --graph needs --mode")
         spec = WindmillSpec.parse(args.graph)
@@ -224,6 +235,7 @@ def _cmd_oracle(args) -> int:
         print(f"budget exhausted after {result.nodes} nodes")
         return EXIT_BUDGET
     if args.seq_kind:
+        _reject_unread(args, "oracle --seq-kind", "mode", "max_label", "budget")
         if args.order is None:
             raise MalformedLabelling("oracle --seq-kind needs --order")
         kind = SequenceKind(args.seq_kind, defect=args.defect)

@@ -16,6 +16,7 @@ from .windmill import (
     Labelling,
     NEAR_GRACEFUL,
     WindmillSpec,
+    labels,
     to_json_obj,
     verify,
 )
@@ -34,7 +35,10 @@ class SearchResult:
     status: str
     labelling: Labelling | None
     nodes: int
-    exhaustive: bool
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.status == NONE
 
     def __bool__(self) -> bool:
         return self.status == FOUND
@@ -52,78 +56,65 @@ def fixture_json_obj(result: SearchResult, spec: WindmillSpec) -> dict:
     return obj
 
 
+class _BudgetExhausted(Exception):
+    """The node budget ran out after ``nodes`` nodes."""
+
+    def __init__(self, nodes: int) -> None:
+        self.nodes = nodes
+
+
 def _search_vanes(
-    cycles: list[int],
-    allowed_vertices: list[int],
-    m: int,
-    target_edges: set[int],
-    node_budget: int | None,
-):
-    """Backtracking over vane vertex assignments with an edge bitmask.
+    cycles: list[int], vertices: list[int], edges: list[int], node_budget: int | None
+) -> tuple[list[tuple[int, ...]] | None, int]:
+    """First vane assignment hitting every edge label once: (vanes or None, nodes).
 
-    Value order is descending (the scarce large labels first).  Symmetry
-    reduction: equal-length vanes are ordered by decreasing first vertex and
-    every vane is oriented with its last vertex above its first; both are
-    canonical-form choices, so no labelling class is lost.
+    Backtracking with an edge bitmask; raises ``_BudgetExhausted`` past
+    ``node_budget`` nodes.  Value order is descending (the scarce large labels
+    first).  Symmetry reduction: equal-length vanes are ordered by decreasing
+    first vertex and every vane is oriented with its last vertex above its
+    first; both are canonical-form choices, so no labelling class is lost.
     """
-    edge_mask = 0
-    for e in target_edges:
-        edge_mask |= 1 << e
-    used_vertices: set[int] = set()
-    vane_labels: list[list[int]] = [[0] * c for c in cycles]
+    vanes = [[0] * length for length in cycles]
+    used: set[int] = set()
+    descending = sorted(vertices, reverse=True)
     nodes = 0
-    budget_hit = False
 
-    allowed_desc = sorted(allowed_vertices, reverse=True)
-
-    def rec(vane_idx: int, pos: int, mask: int):
-        nonlocal nodes, budget_hit
-        if vane_idx == len(cycles):
-            yield
-            return
-        length = cycles[vane_idx]
-        vane = vane_labels[vane_idx]
+    def rec(idx: int, pos: int, mask: int) -> bool:
+        nonlocal nodes
+        if idx == len(cycles):
+            return True
+        length = cycles[idx]
+        vane = vanes[idx]
         prev = vane[pos - 1]
         last = pos == length - 1
         cap = None
-        if pos == 1 and vane_idx > 0 and cycles[vane_idx - 1] == length:
-            cap = vane_labels[vane_idx - 1][1]  # decreasing first vertices
-        for v in allowed_desc:
-            if budget_hit:
-                return
-            if v in used_vertices:
+        if pos == 1 and idx > 0 and cycles[idx - 1] == length:
+            cap = vanes[idx - 1][1]  # decreasing first vertices
+        for v in descending:
+            if v in used or (cap is not None and v >= cap):
                 continue
-            if cap is not None and v >= cap:
+            bit = 1 << abs(v - prev)
+            if not mask & bit:
                 continue
-            e1 = abs(v - prev)
-            b1 = 1 << e1
-            if not (mask & b1):
-                continue
-            new_mask = mask & ~b1
+            rest = mask & ~bit
             if last:
-                if v <= vane[1]:  # orientation: last vertex above the first
+                closing = 1 << v  # the edge back to the centre
+                if v <= vane[1] or not rest & closing:  # orientation: last above first
                     continue
-                e2 = v  # closing edge back to the centre
-                b2 = 1 << e2
-                if not (new_mask & b2):
-                    continue
-                new_mask &= ~b2
+                rest &= ~closing
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                budget_hit = True
-                return
-            vane[pos] = v
-            used_vertices.add(v)
-            if last:
-                yield from rec(vane_idx + 1, 1, new_mask)
-            else:
-                yield from rec(vane_idx, pos + 1, new_mask)
-            used_vertices.remove(v)
-            vane[pos] = 0
+                raise _BudgetExhausted(nodes)
+            vane[pos] = v  # read only below this node, so never reset
+            used.add(v)
+            if rec(idx + 1, 1, rest) if last else rec(idx, pos + 1, rest):
+                return True
+            used.remove(v)
+        return False
 
-    for _ in rec(0, 1, edge_mask):
-        yield [tuple(v) for v in vane_labels], nodes, budget_hit
-    yield None, nodes, budget_hit  # sentinel: search space finished
+    if rec(0, 1, sum(1 << e for e in edges)):
+        return [tuple(vane) for vane in vanes], nodes
+    return None, nodes
 
 
 def search_labelling(
@@ -135,9 +126,9 @@ def search_labelling(
 ) -> SearchResult:
     """Find a verified labelling, prove none exists, or run out of budget.
 
-    Near graceful searches target the constructive convention (omit m, use
-    m+1); with ``permissive`` the general edge set [1, m] with vertices up to
-    m+1 is tried as well.
+    Labels come from ``windmill.labels``, cut at ``max_label``.  With
+    ``permissive`` a near graceful search also tries edges [1, m] with
+    vertices up to m+1, on its own ``node_budget``.
     """
     m = spec.edge_count
     if m > HARD_CAP_EDGES:
@@ -145,38 +136,29 @@ def search_labelling(
     cycles = sorted(
         (length for length, count in spec.vanes for _ in range(count)), reverse=True
     )
-
-    if mode == GRACEFUL:
-        cap = max_label if max_label is not None else m
-        targets = [(set(range(1, m + 1)), [v for v in range(1, cap + 1)])]
-    elif mode == NEAR_GRACEFUL:
-        cap = max_label if max_label is not None else m + 1
-        near_vertices = [v for v in range(1, min(cap, m - 1) + 1)]
-        if cap >= m + 1:
-            near_vertices.append(m + 1)
-        targets = [(set(range(1, m)) | {m + 1}, near_vertices)]
-        if permissive:
-            targets.append((set(range(1, m + 1)), [v for v in range(1, cap + 1)]))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    targets = [(labels(m, mode), labels(m, mode))]  # (edges, vertices)
+    if permissive and mode == NEAR_GRACEFUL:
+        targets.append((labels(m, GRACEFUL), labels(m + 1, GRACEFUL)))
 
     total_nodes = 0
-    any_budget_hit = False
-    for target_edges, allowed_vertices in targets:
-        for outcome in _search_vanes(cycles, allowed_vertices, m, target_edges, node_budget):
-            vanes, nodes, budget_hit = outcome
-            if vanes is not None:
-                labelling = Labelling(spec=spec, vanes=tuple(vanes), mode=mode)
-                report = verify(labelling, permissive_near=permissive)
-                if not report.ok:  # pragma: no cover - search and verifier agree
-                    raise AssertionError(f"oracle produced a bad labelling: {report}")
-                return SearchResult(FOUND, labelling, total_nodes + nodes, False)
-            total_nodes += nodes
-            any_budget_hit = any_budget_hit or budget_hit
-            break  # sentinel reached
-    if any_budget_hit:
-        return SearchResult(BUDGET_EXHAUSTED, None, total_nodes, False)
-    return SearchResult(NONE, None, total_nodes, True)
+    budget_hit = False
+    for edges, vertices in targets:
+        if max_label is not None:
+            vertices = [v for v in vertices if v <= max_label]
+        try:
+            vanes, nodes = _search_vanes(cycles, vertices, edges, node_budget)
+        except _BudgetExhausted as exc:
+            total_nodes += exc.nodes
+            budget_hit = True
+            continue
+        total_nodes += nodes
+        if vanes is not None:
+            labelling = Labelling(spec=spec, vanes=tuple(vanes), mode=mode)
+            report = verify(labelling, permissive_near=permissive)
+            if not report.ok:  # pragma: no cover - search and verifier agree
+                raise AssertionError(f"oracle produced a bad labelling: {report}")
+            return SearchResult(FOUND, labelling, total_nodes)
+    return SearchResult(BUDGET_EXHAUSTED if budget_hit else NONE, None, total_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +166,13 @@ def search_labelling(
 # ---------------------------------------------------------------------------
 
 
-def _kind_layout(kind: SequenceKind, n: int):
-    """Symbol set, total length and hook cells for a search of nominal order n."""
-    if kind.tag in ("near-skolem", "hooked-near-skolem"):
-        symbols = sorted(kind.expected_symbols(n - 1), reverse=True)
-    else:
-        expected = kind.expected_symbols(n)
-        if expected is None:
-            raise ValueError(f"searching {kind.tag!r} needs an explicit symbol set")
-        symbols = sorted(expected, reverse=True)
-    order = len(symbols)
-    length = 2 * kind.fold * order + (1 if kind.hooked else 0)
-    hooks = {2 * kind.fold * order} if kind.hooked else set()
-    return symbols, length, hooks
+def _symbols(kind: SequenceKind, n: int) -> list[int]:
+    """The symbols of a search of nominal order n, largest first."""
+    near = kind.tag in ("near-skolem", "hooked-near-skolem")
+    expected = kind.expected_symbols(n - 1 if near else n)  # n counts the omitted symbol
+    if expected is None:
+        raise ValueError(f"searching {kind.tag!r} needs an explicit symbol set")
+    return sorted(expected, reverse=True)
 
 
 def search_sequence(
@@ -210,59 +186,40 @@ def search_sequence(
     cap = ENUM_CAP_ORDER if enumerate_all else FIND_CAP_ORDER
     if n > cap:
         raise OrderTooLarge(f"order {n} exceeds the cap of {cap}")
-    symbols, length, hooks = _kind_layout(kind, n)
+    symbols = _symbols(kind, n)
     if not symbols:
         # degenerate order: only the empty hook-free sequence can qualify
         if kind.hooked:
             return []
         empty = SkolemTypeSequence(())
         return [empty] if validate(empty, kind).ok else []
+    slots = [sym for sym in symbols for _ in range(kind.fold)]
+    length = 2 * len(slots) + kind.hooked
     entries = [0] * length
-    free = [True] * (length + 1)
-    for h in hooks:
-        free[h] = False
+    free = [True] * (length + 1)  # cells 1..length
+    if kind.hooked:
+        free[length - 1] = False  # the hook, next to last
     results: list[SkolemTypeSequence] = []
-    fold = kind.fold
 
-    def place(idx: int) -> bool:
-        if idx == len(symbols):
+    def place(idx: int, start: int) -> bool:
+        if idx == len(slots):
             seq = SkolemTypeSequence(tuple(entries))
             report = validate(seq, kind)
             if not report.ok:  # pragma: no cover - layout and validator agree
                 raise AssertionError(f"search produced invalid sequence: {report.violations}")
             results.append(seq)
             return not enumerate_all
-        sym = symbols[idx]
-
-        def pair_positions(start: int):
-            for a in range(start, length - sym + 1):
-                if free[a] and free[a + sym]:
-                    yield a
-
-        def put(a: int) -> None:
-            free[a] = free[a + sym] = False
-            entries[a - 1] = entries[a + sym - 1] = sym
-
-        def take(a: int) -> None:
-            free[a] = free[a + sym] = True
-            entries[a - 1] = entries[a + sym - 1] = 0
-
-        if fold == 1:
-            for a in pair_positions(1):
-                put(a)
-                if place(idx + 1):
+        sym = slots[idx]
+        for a in range(start, length - sym + 1):
+            if free[a] and free[a + sym]:
+                free[a] = free[a + sym] = False
+                # every full placement rewrites all non-hook cells: no entry reset
+                entries[a - 1] = entries[a + sym - 1] = sym
+                # a symbol's later copy starts to the right of its earlier one
+                if place(idx + 1, a + 1 if slots[idx + 1 : idx + 2] == [sym] else 1):
                     return True
-                take(a)
-        else:
-            for a in pair_positions(1):
-                put(a)
-                for b in pair_positions(a + 1):  # ordered pairs of pairs
-                    put(b)
-                    if place(idx + 1):
-                        return True
-                    take(b)
-                take(a)
+                free[a] = free[a + sym] = True
         return False
 
-    place(0)
+    place(0, 1)
     return results

@@ -158,47 +158,43 @@ class VerificationReport:
         return f"FAILED ({self.mode_checked}, m={self.m}): " + "; ".join(parts)
 
 
-def _check(labelling: Labelling, allowed_vertices: set[int], target_edges: Counter) -> tuple:
-    vertices = labelling.vertex_labels()
-    counts = Counter(vertices)
+def _check(labelling: Labelling, vertices: list[int], edges: list[int]) -> tuple:
+    counts = Counter(labelling.vertex_labels())
     duplicates = tuple(sorted(v for v, c in counts.items() if c > 1))
-    out_of_range = tuple(sorted(v for v in counts if v not in allowed_vertices))
-    actual = edge_multiset(labelling)
-    missing = tuple(sorted((target_edges - actual).elements()))
-    extra = tuple(sorted((actual - target_edges).elements()))
+    allowed = set(vertices)
+    out_of_range = tuple(sorted(v for v in counts if v not in allowed))
+    actual, target = edge_multiset(labelling), Counter(edges)
+    missing = tuple(sorted((target - actual).elements()))
+    extra = tuple(sorted((actual - target).elements()))
     return duplicates, out_of_range, missing, extra
 
 
+def labels(m: int, mode: str) -> list[int]:
+    """The vertex labels a labelling with m edges may use, which are also the
+    edge labels it must hit: [1, m] (graceful) or [1, m-1] plus m+1 (near)."""
+    if mode == GRACEFUL:
+        return list(range(1, m + 1))
+    if mode == NEAR_GRACEFUL:
+        return list(range(1, m)) + [m + 1]
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def verify(labelling: Labelling, permissive_near: bool = False) -> VerificationReport:
-    """Check the labelling against its declared mode.
+    """Check the vertex and edge labels against ``labels(m, mode)``.
 
-    Graceful: nonzero vertex labels distinct in [1, m]; edge labels exactly
-    [1, m].  Near graceful: vertex labels in [1, m-1] or m+1, edge labels
-    [1, m-1] plus m+1.  With ``permissive_near`` a near labelling may instead
-    use edge labels [1, m] with vertices up to m+1 (flagged in the note).
+    With ``permissive_near`` a near labelling may instead use edge labels
+    [1, m] with vertices up to m+1 (flagged in the note).
     """
-    m = labelling.spec.edge_count
-    if labelling.mode == GRACEFUL:
-        allowed = set(range(1, m + 1))
-        target = Counter(range(1, m + 1))
-        dup, oor, missing, extra = _check(labelling, allowed, target)
-        ok = not (dup or oor or missing or extra)
-        return VerificationReport(ok, m, GRACEFUL, dup, oor, missing, extra)
-
-    allowed = set(range(1, m)) | {m + 1}
-    target = Counter(list(range(1, m)) + [m + 1])
-    dup, oor, missing, extra = _check(labelling, allowed, target)
-    if not (dup or oor or missing or extra):
-        return VerificationReport(True, m, NEAR_GRACEFUL, note="omits m, uses m+1")
-    if permissive_near:
-        allowed = set(range(1, m + 2))
-        target = Counter(range(1, m + 1))
-        dup2, oor2, missing2, extra2 = _check(labelling, allowed, target)
-        if not (dup2 or oor2 or missing2 or extra2):
-            return VerificationReport(
-                True, m, NEAR_GRACEFUL, note="permissive variant: edges [1,m], vertices up to m+1"
-            )
-    return VerificationReport(False, m, NEAR_GRACEFUL, dup, oor, missing, extra)
+    m, mode = labelling.spec.edge_count, labelling.mode
+    faults = _check(labelling, labels(m, mode), labels(m, mode))
+    if not any(faults):
+        note = "omits m, uses m+1" if mode == NEAR_GRACEFUL else ""
+        return VerificationReport(True, m, mode, note=note)
+    if mode == NEAR_GRACEFUL and permissive_near:
+        if not any(_check(labelling, labels(m + 1, GRACEFUL), labels(m, GRACEFUL))):
+            note = "permissive variant: edges [1,m], vertices up to m+1"
+            return VerificationReport(True, m, mode, note=note)
+    return VerificationReport(False, m, mode, *faults)
 
 
 def expected_mode(spec: WindmillSpec) -> str:

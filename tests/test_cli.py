@@ -146,6 +146,34 @@ def test_oracle_graph_found_emits_fixture_json(capsys):
     assert verify(from_json(json.dumps(obj))).ok
 
 
+def test_oracle_max_label_above_top_matches_default(capsys):
+    plain = run(capsys, "oracle", "--graph", "c4=1", "--mode", "graceful")
+    capped = run(capsys, "oracle", "--graph", "c4=1", "--mode", "graceful", "--max-label", "7")
+    assert capped == plain and plain[0] == 0
+    assert json.loads(plain[1])["vanes"] == [[0, 3, 2, 4]]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["seq", "gen", "--kind", "skolem", "--order", "8", "--defect", "3"], "--defect"),
+        (["seq", "gen", "--kind", "langford2d", "--defect", "2", "--order", "3"], "--order"),
+        (["seq", "gen", "--kind", "twofold-skolem", "--order", "3", "--trimmed"], "--trimmed"),
+        (["oracle", "--graph", "c3=2", "--mode", "graceful", "--seq-kind", "skolem"], "--seq-kind"),
+        (["oracle", "--graph", "c3=2", "--mode", "graceful", "--order", "4"], "--order"),
+        (["oracle", "--graph", "c3=2", "--mode", "graceful", "--defect", "1"], "--defect"),
+        (["oracle", "--graph", "c3=2", "--mode", "graceful", "--all"], "--all"),
+        (["oracle", "--seq-kind", "skolem", "--order", "4", "--mode", "graceful"], "--mode"),
+        (["oracle", "--seq-kind", "skolem", "--order", "4", "--max-label", "0"], "--max-label"),
+        (["oracle", "--seq-kind", "skolem", "--order", "4", "--budget", "10"], "--budget"),
+    ],
+)
+def test_unread_option_rejected(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.strip().endswith(f"does not read {option}")
+
+
 def test_oracle_budget_exit(capsys):
     code, out, _ = run(
         capsys, "oracle", "--graph", "c3=3,c4=3", "--mode", "graceful", "--budget", "3"

@@ -17,17 +17,25 @@ def test_search_single_square():
     result = search_labelling(WindmillSpec.of((4, 1)), GRACEFUL)
     assert result.status == FOUND
     assert verify(result.labelling).ok
+    assert (result.nodes, result.labelling.vanes) == (8, ((0, 3, 2, 4),))
 
 
 def test_search_two_triangles_graceful_is_exhaustively_empty():
     result = search_labelling(WindmillSpec.of((3, 2)), GRACEFUL)
     assert result.status == NONE
     assert result.exhaustive
+    assert result.nodes == 29
 
 
 def test_search_three_triangles_graceful_is_exhaustively_empty():
     result = search_labelling(WindmillSpec.of((3, 3)), GRACEFUL)
     assert result.status == NONE and result.exhaustive
+    assert result.nodes == 256
+
+
+def test_search_two_pentagons_graceful_is_exhaustively_empty():
+    result = search_labelling(WindmillSpec.of((5, 2)), GRACEFUL)
+    assert (result.status, result.nodes, result.exhaustive) == (NONE, 6101, True)
 
 
 def test_search_single_triangle():
@@ -49,6 +57,7 @@ def test_search_budget():
     result = search_labelling(WindmillSpec.of((3, 3), (4, 3)), GRACEFUL, node_budget=5)
     assert result.status == BUDGET_EXHAUSTED
     assert not result.exhaustive
+    assert result.nodes == 6
 
 
 def test_search_size_cap():
@@ -110,3 +119,37 @@ def test_dispatcher_oracle_agreement_small():
     ]
     for spec, mode in cases:
         assert search_labelling(spec, mode).status == FOUND
+
+
+
+def test_search_max_label_below_top():
+    result = search_labelling(WindmillSpec.of((3, 1)), GRACEFUL, max_label=2)
+    assert (result.status, result.nodes) == (NONE, 2)
+
+
+@pytest.mark.parametrize("mode", [GRACEFUL, NEAR_GRACEFUL])
+def test_search_max_label_above_top_is_ignored(mode):
+    spec = WindmillSpec.of((4, 1))
+    plain = search_labelling(spec, mode, permissive=True)
+    assert search_labelling(spec, mode, max_label=7, permissive=True) == plain
+
+
+def test_search_twofold_order_two_enumeration():
+    found = search_sequence(SequenceKind("two-fold-skolem"), 2, enumerate_all=True)
+    assert [s.to_text() for s in found] == [
+        "2,2,2,2,1,1,1,1",
+        "1,1,2,2,2,2,1,1",
+        "1,1,1,1,2,2,2,2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "tag, n, count, first, last",
+    [
+        ("two-fold-skolem", 3, 12, "3,1,1,3,3,1,1,3,2,2,2,2", "1,1,1,1,2,3,2,3,3,2,3,2"),
+        ("skolem", 5, 10, "5,2,4,2,3,5,4,3,1,1", "1,1,3,4,5,3,2,4,2,5"),
+    ],
+)
+def test_search_sequence_enumeration_order(tag, n, count, first, last):
+    found = [s.to_text() for s in search_sequence(SequenceKind(tag), n, enumerate_all=True)]
+    assert (len(found), found[0], found[-1]) == (count, first, last)
