@@ -29,6 +29,7 @@ from .sequences import (
 from .windmill import (
     WindmillSpec,
     from_json,
+    labels,
     to_dot,
     to_json,
     verify,
@@ -222,6 +223,8 @@ def _cmd_oracle(args) -> int:
         _reject_unread(args, "oracle --graph", "seq_kind", "order", "defect", "all")
         if not args.mode:
             raise MalformedLabelling("oracle --graph needs --mode")
+        if args.budget is not None and args.budget < 0:
+            raise MalformedLabelling(f"--budget must be >= 0, got {args.budget}")
         spec = WindmillSpec.parse(args.graph)
         result = oracle.search_labelling(
             spec, args.mode, max_label=args.max_label, node_budget=args.budget
@@ -230,7 +233,10 @@ def _cmd_oracle(args) -> int:
             print(json.dumps(oracle.fixture_json_obj(result, spec)))
             return EXIT_OK
         if result.status == oracle.NONE:
-            print(f"none (exhaustive, {result.nodes} nodes)")
+            top = labels(spec.edge_count, args.mode)[-1]
+            cut = args.max_label is not None and args.max_label < top
+            scope = f" with labels up to {args.max_label}" if cut else ""
+            print(f"none{scope} (exhaustive, {result.nodes} nodes)")
             return EXIT_OK
         print(f"budget exhausted after {result.nodes} nodes")
         return EXIT_BUDGET

@@ -54,7 +54,6 @@ from .sequences import (
 from .windmill import (
     GRACEFUL,
     Labelling,
-    NEAR_GRACEFUL,
     WindmillSpec,
     expected_mode,
     from_json_obj,
@@ -101,10 +100,8 @@ def _checked(labelling: Labelling) -> Labelling:
 def _triangle_sequence(t: int, straddle: bool = False) -> SkolemTypeSequence:
     """(Hooked) Skolem sequence of order t used for the triangle block.
 
-    With ``straddle`` the hooked sequence is additionally required to carry
-    the hook-adjacent pairs that turn into the replaceable triangles of the
-    square-block extension; a constrained search supplies one if the closed
-    form does not.
+    With ``straddle`` a hooked sequence must end with its tail in ``_TAILS``;
+    a constrained search supplies one if the closed form does not.
     """
     if t % 4 in (0, 1):
         return gen_skolem(t)
@@ -119,29 +116,24 @@ def _triangle_sequence(t: int, straddle: bool = False) -> SkolemTypeSequence:
     return found
 
 
+# t mod 4 -> the hook-adjacent tail a hooked triangle sequence ends with to be
+# extendable; its pairs are the triangles the square-block extension moves
+_TAILS = {2: (2, 0, 2), 3: (4, 1, 1, 0, 4)}
+
+
 def _is_straddling(seq: SkolemTypeSequence, t: int) -> bool:
-    pairs = pairs_of(seq)
-    if t % 4 == 2:
-        return pairs.single(2) == (2 * t - 1, 2 * t + 1)
-    return (
-        pairs.single(1) == (2 * t - 2, 2 * t - 1)
-        and pairs.single(4) == (2 * t - 3, 2 * t + 1)
-    )
+    tail = _TAILS[t % 4]
+    return seq.entries[-len(tail) :] == tail
 
 
 @lru_cache(maxsize=None)
 def _straddling_hooked(t: int) -> SkolemTypeSequence | None:
-    """Hooked Skolem sequence of order t with forced hook-adjacent pairs.
+    """Hooked Skolem sequence of order t that ends with its tail in ``_TAILS``.
 
-    The forced pairs and the hook fill a fixed tail; a search tiles the head.
+    The tail fixes its symbols and the hook; a search tiles the head.
     """
-    if t % 4 == 2:
-        tail, forced = (2, 0, 2), {2}
-    elif t % 4 == 3:
-        tail, forced = (4, 1, 1, 0, 4), {1, 4}
-    else:
-        return None
-    head = _search_pairs(set(range(1, t + 1)) - forced, 2 * t + 1 - len(tail))
+    tail = _TAILS[t % 4]
+    head = _search_pairs(set(range(1, t + 1)) - set(tail), 2 * t + 1 - len(tail))
     if head is None:
         return None
     return _ensure_valid(SkolemTypeSequence(head + tail), SequenceKind("hooked-skolem"))
@@ -170,68 +162,58 @@ def label_c5(p: int) -> Labelling:
 # Triangle + square windmills
 # ---------------------------------------------------------------------------
 
-# 4*s bounds for the extension: case -> (low offset, high offset) so that
-# low <= 4*s' <= high with low = 2k + lo - 12w, high = 6k + hi - 12w.
-_EXT_OFFSETS = {1: (2, -5), 2: (-1, -8), 3: (-2, -9), 4: (-3, -10)}
-_EXT_SHIFT = {1: 0, 2: 3, 3: 4, 4: 5}
+
+def _square_shift(t: int, s: int) -> int:
+    """The extension's square shift: the base's top label with its tail's
+    triangles set aside, 4s + t plus the triangle cells before the tail."""
+    tail = _TAILS.get(t % 4, ())
+    return 4 * s + t + 2 * t + (1 if tail else 0) - len(tail)
 
 
-def _ext_bounds_hold(case: int, w: int, k: int, s: int) -> bool:
-    lo_off, hi_off = _EXT_OFFSETS[case]
-    return 2 * k + lo_off - 12 * w <= 4 * s <= 6 * k + hi_off - 12 * w
+def _ext_bounds_hold(t: int, k: int, s: int) -> bool:
+    return 2 * k + 2 <= _square_shift(t, s) <= 6 * k - 5
 
 
-def _ext_required_triangles(case: int, w: int, s: int) -> list[tuple[int, int]]:
-    base = 4 * s + 12 * w
-    if case == 3:
-        return [(base + 5, base + 7)]
-    if case == 4:
-        return [(base + 7, base + 8), (base + 6, base + 10)]
-    return []
+def _tail_triangles(t: int, c: int) -> list[tuple[int, int, int]]:
+    """The triangles of the tail's pairs at square shift c."""
+    tail = SkolemTypeSequence(_TAILS.get(t % 4, ()))
+    return triples_from_pairs(pairs_of(tail), c, variant=1)
 
 
-def extend_c3c4(base: Labelling, k: int, case: int) -> Labelling:
+def extend_c3c4(base: Labelling, k: int) -> Labelling:
     """Graft 4k-1 squares onto a triangle+square labelling.
 
-    The new squares come from the two-fold Langford block of defect 6k-1; in
-    the near graceful cases the base must contain one or two specific
-    hook-adjacent triangles, which are swapped for translated copies so the
-    top edge labels stay unique.  The base's square count must lie in the
-    published interval of the case.
+    The squares come from the two-fold Langford block of defect 6k-1 at the
+    square shift, which must lie in [2k+2, 6k-5].  The base's tail triangles
+    move up by the block's length so the top edge labels stay unique.
     """
     if k < 1:
         raise BoundViolation(f"need k >= 1, got {k}")
-    if not 1 <= case <= 4:
-        raise BoundViolation(f"case must be 1..4, got {case}")
     lengths = {length for length, _ in base.spec.vanes}
     if not lengths <= {3, 4}:
         raise MalformedLabelling("extension applies to triangle+square windmills only")
     t = base.spec.count_of(3)
     s = base.spec.count_of(4)
-    if t % 4 + 1 != case:
-        raise BoundViolation(f"case {case} does not match t={t}")
-    w = t // 4
-    if case == 1 and w < 1:
-        raise BoundViolation("case 1 needs at least four triangles")
-    if not _ext_bounds_hold(case, w, k, s):
-        raise BoundViolation(f"(t={t}, s={s}, k={k}) outside the case-{case} interval")
-    expected = GRACEFUL if case in (1, 2) else NEAR_GRACEFUL
-    if base.mode != expected:
-        raise MalformedLabelling(f"case {case} needs a {expected} base")
+    if t < 1:
+        raise BoundViolation("the extension needs at least one triangle")
+    if not _ext_bounds_hold(t, k, s):
+        raise BoundViolation(f"(t={t}, s={s}, k={k}) outside the case-{t % 4 + 1} interval")
+    if base.mode != expected_mode(base.spec):
+        raise MalformedLabelling(f"case {t % 4 + 1} needs a {expected_mode(base.spec)} base")
 
+    c = _square_shift(t, s)
+    block = gen_twofold_langford(k)
     vanes = list(base.vanes)
-    shift = 16 * k - 4  # each replacement is its required triangle translated
-    for a, b in _ext_required_triangles(case, w, s):
+    for _, a, b in _tail_triangles(t, c):
         target = {0, a, b}
         for idx, vane in enumerate(vanes):
             if len(vane) == 3 and set(vane) == target:
-                vanes[idx] = (0, a + shift, b + shift)
+                vanes[idx] = (0, a + block.length, b + block.length)
                 break
         else:
             raise MissingRequiredTriangle(f"base lacks triangle (0, {a}, {b})")
 
-    c = 4 * s + 12 * w + _EXT_SHIFT[case]
-    quads = quadruples_from_twofold(gen_twofold_langford(k), c)
+    quads = quadruples_from_twofold(block, c)
     new_spec = WindmillSpec.of((3, t), (4, s + 4 * k - 1))
     tris = [v for v in vanes if len(v) == 3]
     squares = [v for v in vanes if len(v) == 4] + quads
@@ -289,7 +271,7 @@ RULES = frozenset(_SQUARE_BLOCKS) | {
     "triangles-only",
     "base-case",
     "gap-fixture",
-    *(f"extension-case{case}" for case in _EXT_OFFSETS),
+    *(f"extension-case{case}" for case in range(1, 5)),
 }
 
 
@@ -309,8 +291,8 @@ def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | Non
 
     This is the only statement of the rule precedence and its preconditions:
     the dispatcher builds by it, ``replay`` re-derives it and the coverage
-    audit tabulates it.  ``straddle`` marks the base of a case-3 or case-4
-    extension, which must carry the replaceable hook-adjacent triangles; at
+    audit tabulates it.  ``straddle`` marks the base of an extension at
+    t = 2, 3 (mod 4), which must carry the replaceable tail triangles; at
     t <= 3 only the catalogued rows do (no order-3 hooked sequence can
     straddle).
     """
@@ -334,11 +316,10 @@ def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | Non
         if composite is not None:
             return composite
     # the smallest k whose interval admits a base of s - 4k + 1 >= 1 squares
-    case = t % 4 + 1
     for k in range(1, s // 4 + 1):
         s_base = s - 4 * k + 1
-        if _ext_bounds_hold(case, t // 4, k, s_base):
-            return f"extension-case{case}", {"t": t, "s": s, "k": k, "s_base": s_base}
+        if _ext_bounds_hold(t, k, s_base):
+            return f"extension-case{t % 4 + 1}", {"t": t, "s": s, "k": k, "s_base": s_base}
     if _load_gap_fixture(t, s) is not None:
         return "gap-fixture", {"t": t, "s": s}
     return None
@@ -361,9 +342,8 @@ def _dispatch_c3c4(t: int, s: int, straddle: bool) -> tuple[Labelling, Construct
     elif rule == "gap-fixture":
         lab = _load_gap_fixture(t, s)
     elif rule.startswith("extension-case"):
-        case = t % 4 + 1
-        base, base_trace = _dispatch_c3c4(t, params["s_base"], straddle=case in (3, 4))
-        lab, children = extend_c3c4(base, params["k"], case), (base_trace,)
+        base, base_trace = _dispatch_c3c4(t, params["s_base"], straddle=t % 4 in _TAILS)
+        lab, children = extend_c3c4(base, params["k"]), (base_trace,)
     else:
         lab = _build_c3c4(t, s, rule, params, straddle)
     return lab, ConstructionTrace(rule, params, children)
@@ -390,9 +370,8 @@ def _replay(trace: ConstructionTrace, t: int, s: int, straddle: bool) -> bool:
         return False
     if not trace.rule.startswith("extension-case"):
         return not trace.children
-    case = t % 4 + 1
     return len(trace.children) == 1 and _replay(
-        trace.children[0], t, trace.parameters["s_base"], straddle=case in (3, 4)
+        trace.children[0], t, trace.parameters["s_base"], straddle=t % 4 in _TAILS
     )
 
 

@@ -181,6 +181,29 @@ def test_oracle_budget_exit(capsys):
     assert code == 4 and "budget" in out
 
 
+def test_oracle_negative_budget_rejected(capsys):
+    code, out, err = run(
+        capsys, "oracle", "--graph", "c3=2", "--mode", "near-graceful", "--budget", "-1"
+    )
+    assert code == 3 and out == "" and "--budget" in err
+    code, out, _ = run(
+        capsys, "oracle", "--graph", "c3=2", "--mode", "near-graceful", "--budget", "0"
+    )
+    assert code == 4 and out.strip() == "budget exhausted after 1 nodes"
+
+
+def test_oracle_negative_names_the_max_label_cut(capsys):
+    # C4 is graceful, so a negative below its top label 4 comes from the cut
+    code, out, _ = run(
+        capsys, "oracle", "--graph", "c4=1", "--mode", "graceful", "--max-label", "3"
+    )
+    assert code == 0 and out.strip() == "none with labels up to 3 (exhaustive, 8 nodes)"
+    code, out, _ = run(capsys, "oracle", "--graph", "c3=2", "--mode", "graceful")
+    assert code == 0 and out.strip() == "none (exhaustive, 29 nodes)"
+    capped = run(capsys, "oracle", "--graph", "c3=2", "--mode", "graceful", "--max-label", "6")
+    assert capped[:2] == (0, out)
+
+
 def test_label_search_budget_exit(capsys, monkeypatch):
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
     sequences.langford_sequence.cache_clear()

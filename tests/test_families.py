@@ -15,8 +15,11 @@ from windmills.families import (
     GAP,
     RULES,
     ConstructionTrace,
+    _ext_bounds_hold,
     _is_straddling,
+    _square_shift,
     _straddling_hooked,
+    _tail_triangles,
     base_case_c3c4,
     coverage_audit,
     extend_c3c4,
@@ -165,7 +168,7 @@ def test_composite_rules_edge_shape():
 def test_extend_near_case_from_base_table():
     base = base_case_c3c4(2, 2)
     assert any(set(v) == {0, 13, 15} for v in base.vanes if len(v) == 3)
-    lab = extend_c3c4(base, 5, 3)
+    lab = extend_c3c4(base, 5)
     assert lab.spec.vanes == ((3, 2), (4, 21))
     assert lab.mode == NEAR_GRACEFUL and verify(lab).ok
     # the replacement triangle enables iterating the extension
@@ -175,15 +178,15 @@ def test_extend_near_case_from_base_table():
 
 def test_extend_graceful_case():
     base, _ = label_c3c4(4, 21)
-    lab = extend_c3c4(base, 20, 1)
+    lab = extend_c3c4(base, 20)
     assert lab.spec.vanes == ((3, 4), (4, 100))
     assert verify(lab).ok
 
 
 def test_extend_iterates():
     # the replacement triangles make the output extendable again
-    first = extend_c3c4(base_case_c3c4(2, 2), 5, 3)  # -> 21 squares
-    second = extend_c3c4(first, 16, 3)  # -> 84 squares
+    first = extend_c3c4(base_case_c3c4(2, 2), 5)  # -> 21 squares
+    second = extend_c3c4(first, 16)  # -> 84 squares
     assert second.spec.vanes == ((3, 2), (4, 84))
     assert verify(second).ok
     m = second.spec.edge_count
@@ -193,15 +196,75 @@ def test_extend_iterates():
 def test_extend_bound_violation():
     base, _ = label_c3c4(4, 3)
     with pytest.raises(BoundViolation):
-        extend_c3c4(base, 1, 1)
-    with pytest.raises(BoundViolation):
-        extend_c3c4(base, 5, 2)  # wrong case for t = 0 (mod 4)
+        extend_c3c4(base, 1)
 
 
 def test_extend_missing_triangle():
     base, _ = label_c3c4(3, 1)  # direct recipe lacks the replaceable triangles
     with pytest.raises(MissingRequiredTriangle):
-        extend_c3c4(base, 3, 4)
+        extend_c3c4(base, 3)
+
+
+# The paper's extension as four cases by t % 4 + 1, with w = t // 4: the
+# offsets (lo, hi) of the interval 2k + lo - 12w <= 4s <= 6k + hi - 12w, the
+# square shift over 4s + 12w, and the triangles to translate as offsets over
+# 4s + 12w.
+PAPER_EXTENSION_CASES = {
+    1: ((2, -5), 0, []),
+    2: ((-1, -8), 3, []),
+    3: ((-2, -9), 4, [(5, 7)]),
+    4: ((-3, -10), 5, [(7, 8), (6, 10)]),
+}
+
+
+def test_extension_rule_matches_the_papers_four_cases():
+    for t in range(1, 41):
+        (lo, hi), shift, offsets = PAPER_EXTENSION_CASES[t % 4 + 1]
+        w = t // 4
+        for s in range(201):
+            top = 4 * s + 12 * w
+            c = _square_shift(t, s)
+            assert c == top + shift, (t, s)
+            assert _tail_triangles(t, c) == [(0, top + a, top + b) for a, b in offsets], (t, s)
+            for k in range(1, 61):
+                paper = 2 * k + lo - 12 * w <= 4 * s <= 6 * k + hi - 12 * w
+                assert _ext_bounds_hold(t, k, s) == paper, (t, s, k)
+
+
+@pytest.mark.parametrize(
+    "t,s,text",
+    [
+        (
+            5,
+            100,
+            "extension-case2(t=5, s=100, k=20, s_base=21)\n"
+            "  composite-high(t=5, s=21, x=1, y=1, defect=10)",
+        ),
+        (1, 30, "extension-case2(t=1, s=30, k=6, s_base=7)\n  base-case(t=1, s=7)"),
+        (
+            6,
+            60,
+            "extension-case3(t=6, s=60, k=13, s_base=9)\n  twofold-parity(t=6, s=9, table=odd)",
+        ),
+        (
+            10,
+            90,
+            "extension-case3(t=10, s=90, k=19, s_base=15)\n"
+            "  twofold-parity(t=10, s=15, table=odd)",
+        ),
+    ],
+)
+def test_extension_case_2_and_3_traces(t, s, text):
+    lab, trace = label_c3c4(t, s)
+    assert verify(lab).ok
+    assert trace.format() == text
+    assert replay(trace)
+
+
+def test_case3_base_takes_the_searched_straddling_sequence():
+    # the closed-form hooked sequence of order 10 does not end with its tail,
+    # so the base of label_c3c4(10, 90) takes its triangles from the search
+    assert not _is_straddling(gen_hooked_skolem(10), 10)
 
 
 @pytest.mark.parametrize("t,s", [(2, 24), (2, 30), (3, 30), (6, 55)])
