@@ -225,6 +225,8 @@ def _cmd_oracle(args) -> int:
             raise MalformedLabelling("oracle --graph needs --mode")
         if args.budget is not None and args.budget < 0:
             raise MalformedLabelling(f"--budget must be >= 0, got {args.budget}")
+        if args.max_label is not None and args.max_label < 1:
+            raise MalformedLabelling(f"--max-label must be >= 1, got {args.max_label}")
         spec = WindmillSpec.parse(args.graph)
         result = oracle.search_labelling(
             spec, args.mode, max_label=args.max_label, node_budget=args.budget

@@ -84,7 +84,7 @@ class Unlabellable(WindmillError):
 
 
 class MissingRequiredTriangle(WindmillError):
-    """The base labelling lacks a triangle the extension must replace."""
+    """A base edge across the extension's square shift c has a label <= c."""
 
 
 # -- oracle ------------------------------------------------------------------

@@ -34,10 +34,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .sequences import (
-    SequenceKind,
     SkolemTypeSequence,
-    _ensure_valid,
-    _search_pairs,
     concat,
     double,
     exists,
@@ -97,46 +94,9 @@ def _checked(labelling: Labelling) -> Labelling:
 # ---------------------------------------------------------------------------
 
 
-def _triangle_sequence(t: int, straddle: bool = False) -> SkolemTypeSequence:
-    """(Hooked) Skolem sequence of order t used for the triangle block.
-
-    With ``straddle`` a hooked sequence must end with its tail in ``_TAILS``;
-    a constrained search supplies one if the closed form does not.
-    """
-    if t % 4 in (0, 1):
-        return gen_skolem(t)
-    seq = gen_hooked_skolem(t)
-    if not straddle or _is_straddling(seq, t):
-        return seq
-    found = _straddling_hooked(t)
-    if found is None:
-        raise Unlabellable(
-            f"no hooked sequence of order {t} with the extension's triangle pairs"
-        )
-    return found
-
-
-# t mod 4 -> the hook-adjacent tail a hooked triangle sequence ends with to be
-# extendable; its pairs are the triangles the square-block extension moves
-_TAILS = {2: (2, 0, 2), 3: (4, 1, 1, 0, 4)}
-
-
-def _is_straddling(seq: SkolemTypeSequence, t: int) -> bool:
-    tail = _TAILS[t % 4]
-    return seq.entries[-len(tail) :] == tail
-
-
-@lru_cache(maxsize=None)
-def _straddling_hooked(t: int) -> SkolemTypeSequence | None:
-    """Hooked Skolem sequence of order t that ends with its tail in ``_TAILS``.
-
-    The tail fixes its symbols and the hook; a search tiles the head.
-    """
-    tail = _TAILS[t % 4]
-    head = _search_pairs(set(range(1, t + 1)) - set(tail), 2 * t + 1 - len(tail))
-    if head is None:
-        return None
-    return _ensure_valid(SkolemTypeSequence(head + tail), SequenceKind("hooked-skolem"))
+def _triangle_sequence(t: int) -> SkolemTypeSequence:
+    """(Hooked) Skolem sequence of order t used for the triangle block."""
+    return gen_skolem(t) if t % 4 in (0, 1) else gen_hooked_skolem(t)
 
 
 def label_c3(t: int) -> Labelling:
@@ -164,28 +124,30 @@ def label_c5(p: int) -> Labelling:
 
 
 def _square_shift(t: int, s: int) -> int:
-    """The extension's square shift: the base's top label with its tail's
-    triangles set aside, 4s + t plus the triangle cells before the tail."""
-    tail = _TAILS.get(t % 4, ())
-    return 4 * s + t + 2 * t + (1 if tail else 0) - len(tail)
+    """Where the extension puts its square block in a base C3^t C4^s.
+
+    With t = 0, 1 (mod 4) it is the base's top label 4s+3t, so nothing moves.
+    The catalogued bases at t = 2, 3 keep only the paper's tail triangles
+    above 4s+t+2.  Every other base has its squares' labels at most 4s+t and
+    its triangles' labels above it, so all the triangles move.
+    """
+    if t % 4 in (0, 1):
+        return 4 * s + 3 * t
+    return 4 * s + t + (2 if t <= 3 else 0)
 
 
 def _ext_bounds_hold(t: int, k: int, s: int) -> bool:
     return 2 * k + 2 <= _square_shift(t, s) <= 6 * k - 5
 
 
-def _tail_triangles(t: int, c: int) -> list[tuple[int, int, int]]:
-    """The triangles of the tail's pairs at square shift c."""
-    tail = SkolemTypeSequence(_TAILS.get(t % 4, ()))
-    return triples_from_pairs(pairs_of(tail), c, variant=1)
-
-
 def extend_c3c4(base: Labelling, k: int) -> Labelling:
     """Graft 4k-1 squares onto a triangle+square labelling.
 
     The squares come from the two-fold Langford block of defect 6k-1 at the
-    square shift, which must lie in [2k+2, 6k-5].  The base's tail triangles
-    move up by the block's length so the top edge labels stay unique.
+    square shift c, which must lie in [2k+2, 6k-5].  Every base label above c
+    moves up by the block's length 16k-4, which the block then fills; this
+    keeps the edge labels unique when every base edge across c has a label
+    above c.
     """
     if k < 1:
         raise BoundViolation(f"need k >= 1, got {k}")
@@ -203,15 +165,13 @@ def extend_c3c4(base: Labelling, k: int) -> Labelling:
 
     c = _square_shift(t, s)
     block = gen_twofold_langford(k)
-    vanes = list(base.vanes)
-    for _, a, b in _tail_triangles(t, c):
-        target = {0, a, b}
-        for idx, vane in enumerate(vanes):
-            if len(vane) == 3 and set(vane) == target:
-                vanes[idx] = (0, a + block.length, b + block.length)
-                break
-        else:
-            raise MissingRequiredTriangle(f"base lacks triangle (0, {a}, {b})")
+    for vane in base.vanes:
+        for u, v in zip(vane, vane[1:] + vane[:1]):
+            if min(u, v) <= c < max(u, v) and abs(u - v) <= c:
+                raise MissingRequiredTriangle(
+                    f"base edge ({u}, {v}) crosses the square shift {c} with label {abs(u - v)}"
+                )
+    vanes = [tuple(v + block.length if v > c else v for v in vane) for vane in base.vanes]
 
     quads = quadruples_from_twofold(block, c)
     new_spec = WindmillSpec.of((3, t), (4, s + 4 * k - 1))
@@ -275,13 +235,11 @@ RULES = frozenset(_SQUARE_BLOCKS) | {
 }
 
 
-def _build_c3c4(t: int, s: int, rule: str, params: dict, straddle: bool) -> Labelling:
+def _build_c3c4(t: int, s: int, rule: str, params: dict) -> Labelling:
     quads = quadruples_from_twofold(_SQUARE_BLOCKS[rule](params), c=t)
     if len(quads) != s:  # pragma: no cover - arithmetic guarantee
         raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
-    tris = triples_from_pairs(
-        pairs_of(_triangle_sequence(t, straddle)), c=4 * s + t, variant=1
-    )
+    tris = triples_from_pairs(pairs_of(_triangle_sequence(t)), c=4 * s + t, variant=1)
     spec = WindmillSpec.of((3, t), (4, s))
     return _checked(Labelling(spec, tuple(tris) + tuple(quads), expected_mode(spec)))
 
@@ -292,9 +250,8 @@ def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | Non
     This is the only statement of the rule precedence and its preconditions:
     the dispatcher builds by it, ``replay`` re-derives it and the coverage
     audit tabulates it.  ``straddle`` marks the base of an extension at
-    t = 2, 3 (mod 4), which must carry the replaceable tail triangles; at
-    t <= 3 only the catalogued rows do (no order-3 hooked sequence can
-    straddle).
+    t = 2, 3 (mod 4); at t <= 3 it picks the catalogued rows, whose labels
+    above the square shift are the paper's tail triangles.
     """
     if t < 1 or s < 0:
         return None
@@ -342,10 +299,10 @@ def _dispatch_c3c4(t: int, s: int, straddle: bool) -> tuple[Labelling, Construct
     elif rule == "gap-fixture":
         lab = _load_gap_fixture(t, s)
     elif rule.startswith("extension-case"):
-        base, base_trace = _dispatch_c3c4(t, params["s_base"], straddle=t % 4 in _TAILS)
+        base, base_trace = _dispatch_c3c4(t, params["s_base"], straddle=t % 4 in (2, 3))
         lab, children = extend_c3c4(base, params["k"]), (base_trace,)
     else:
-        lab = _build_c3c4(t, s, rule, params, straddle)
+        lab = _build_c3c4(t, s, rule, params)
     return lab, ConstructionTrace(rule, params, children)
 
 
@@ -371,7 +328,7 @@ def _replay(trace: ConstructionTrace, t: int, s: int, straddle: bool) -> bool:
     if not trace.rule.startswith("extension-case"):
         return not trace.children
     return len(trace.children) == 1 and _replay(
-        trace.children[0], t, trace.parameters["s_base"], straddle=t % 4 in _TAILS
+        trace.children[0], t, trace.parameters["s_base"], straddle=t % 4 in (2, 3)
     )
 
 

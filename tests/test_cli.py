@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from windmills import families, sequences
+from windmills import sequences
 from windmills.cli import main
 from windmills.windmill import from_json, verify
 
@@ -192,6 +192,14 @@ def test_oracle_negative_budget_rejected(capsys):
     assert code == 4 and out.strip() == "budget exhausted after 1 nodes"
 
 
+@pytest.mark.parametrize("max_label", ["0", "-1"])
+def test_oracle_max_label_below_one_rejected(capsys, max_label):
+    code, out, err = run(
+        capsys, "oracle", "--graph", "c3=1", "--mode", "graceful", "--max-label", max_label
+    )
+    assert code == 3 and out == "" and "--max-label" in err
+
+
 def test_oracle_negative_names_the_max_label_cut(capsys):
     # C4 is graceful, so a negative below its top label 4 comes from the cut
     code, out, _ = run(
@@ -207,7 +215,6 @@ def test_oracle_negative_names_the_max_label_cut(capsys):
 def test_label_search_budget_exit(capsys, monkeypatch):
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
     sequences.langford_sequence.cache_clear()
-    families._straddling_hooked.cache_clear()
     code, _, err = run(capsys, "label", "--graph", "c3=24,c5=8")
     assert code == 4 and "SearchBudgetExhausted" in err
 

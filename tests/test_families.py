@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from windmills import sequences
 from windmills.errors import (
     BoundViolation,
     MissingRequiredTriangle,
@@ -15,11 +16,9 @@ from windmills.families import (
     GAP,
     RULES,
     ConstructionTrace,
+    _BASE_CASE_RANGE,
     _ext_bounds_hold,
-    _is_straddling,
     _square_shift,
-    _straddling_hooked,
-    _tail_triangles,
     base_case_c3c4,
     coverage_audit,
     extend_c3c4,
@@ -30,7 +29,6 @@ from windmills.families import (
     label_c5,
     replay,
 )
-from windmills.sequences import SequenceKind, gen_hooked_skolem, validate
 from windmills.windmill import (
     GRACEFUL,
     NEAR_GRACEFUL,
@@ -224,8 +222,15 @@ def test_extension_rule_matches_the_papers_four_cases():
         for s in range(201):
             top = 4 * s + 12 * w
             c = _square_shift(t, s)
+            if t >= 6 and t % 4 in (2, 3):
+                # every triangle moves, so the block sits on the squares' top
+                assert c == 4 * s + t, (t, s)
+                continue
             assert c == top + shift, (t, s)
-            assert _tail_triangles(t, c) == [(0, top + a, top + b) for a, b in offsets], (t, s)
+            if t <= 3 and s in _BASE_CASE_RANGE[t]:
+                # the catalogued bases keep only the paper's tail triangles above c
+                above = sorted(sorted(v) for v in base_case_c3c4(t, s).vanes if max(v) > c)
+                assert above == sorted([0, top + a, top + b] for a, b in offsets), (t, s)
             for k in range(1, 61):
                 paper = 2 * k + lo - 12 * w <= 4 * s <= 6 * k + hi - 12 * w
                 assert _ext_bounds_hold(t, k, s) == paper, (t, s, k)
@@ -244,13 +249,19 @@ def test_extension_rule_matches_the_papers_four_cases():
         (
             6,
             60,
-            "extension-case3(t=6, s=60, k=13, s_base=9)\n  twofold-parity(t=6, s=9, table=odd)",
+            "extension-case3(t=6, s=60, k=12, s_base=13)\n  langford-block(t=6, s=13, defect=7)",
         ),
         (
             10,
             90,
-            "extension-case3(t=10, s=90, k=19, s_base=15)\n"
-            "  twofold-parity(t=10, s=15, table=odd)",
+            "extension-case3(t=10, s=90, k=18, s_base=19)\n"
+            "  twofold-parity(t=10, s=19, table=odd)",
+        ),
+        (
+            90,
+            700,
+            "extension-case3(t=90, s=700, k=132, s_base=173)\n"
+            "  twofold-parity(t=90, s=173, table=odd)",
         ),
     ],
 )
@@ -259,12 +270,6 @@ def test_extension_case_2_and_3_traces(t, s, text):
     assert verify(lab).ok
     assert trace.format() == text
     assert replay(trace)
-
-
-def test_case3_base_takes_the_searched_straddling_sequence():
-    # the closed-form hooked sequence of order 10 does not end with its tail,
-    # so the base of label_c3c4(10, 90) takes its triangles from the search
-    assert not _is_straddling(gen_hooked_skolem(10), 10)
 
 
 @pytest.mark.parametrize("t,s", [(2, 24), (2, 30), (3, 30), (6, 55)])
@@ -430,38 +435,30 @@ def test_straddled_base_case_trace():
     assert trace.format() == "extension-case4(t=3, s=22, k=5, s_base=3)\n  base-case(t=3, s=3)"
 
 
-@pytest.mark.parametrize(
-    "t,entries",
-    [
-        (7, (7, 5, 2, 6, 2, 3, 5, 7, 3, 6, 4, 1, 1, 0, 4)),
-        (10, (10, 8, 6, 4, 9, 7, 5, 4, 6, 8, 10, 5, 7, 9, 3, 1, 1, 3, 2, 0, 2)),
-        (
-            11,
-            (11, 9, 5, 10, 2, 7, 2, 5, 8, 6, 9, 11, 7, 10, 3, 6, 8, 3, 4, 1, 1, 0, 4),
-        ),
-    ],
-)
-def test_straddling_hooked_search_first_solution(t, entries):
-    assert _straddling_hooked(t).entries == entries
-
-
-def test_straddling_hooked_carries_hook_adjacent_pairs():
-    for t in range(7, 22):
-        if t % 4 in (2, 3):
-            seq = _straddling_hooked(t)
-            assert validate(seq, SequenceKind("hooked-skolem")).ok, t
-            assert _is_straddling(seq, t), t
-
-
 def test_straddled_langford_base_trace():
-    # the closed-form hooked sequence of order 7 does not straddle the hook,
-    # so the base of this extension takes its triangles from the search
-    assert not _is_straddling(gen_hooked_skolem(7), 7)
     lab, trace = label_c3c4(7, 70)
     assert verify(lab).ok
     assert trace.format() == (
         "extension-case4(t=7, s=70, k=14, s_base=15)\n  langford-block(t=7, s=15, defect=8)"
     )
+
+
+def test_c3c4_needs_no_search(monkeypatch):
+    # with no placements allowed, any construction search would raise
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 0)
+    sequences.langford_sequence.cache_clear()
+    cells = [(6, 60), (7, 70), (10, 90), (11, 95), (22, 200), (27, 200), (43, 300), (90, 700)]
+    for t, s in cells:
+        lab, trace = label_c3c4(t, s)
+        assert verify(lab).ok and replay(trace), (t, s)
+
+
+def test_extension_cells_beyond_t_60():
+    for t in range(62, 100):
+        if t % 4 in (2, 3):
+            lab, trace = label_c3c4(t, 7 * t + 19)
+            assert trace.rule.startswith("extension-case"), t
+            assert verify(lab).ok and replay(trace), t
 
 
 def test_replay_rejects_unbuildable_base():
