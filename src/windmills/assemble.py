@@ -7,6 +7,8 @@ two triangles around their symbol sum.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import (
     BoundViolation,
     LabelClash,
@@ -186,36 +188,52 @@ def hexagon_pairs(n: int) -> list[tuple[int, int]]:
     return _hexagon_pair_rows(n)
 
 
-def hexagon_merge(vanes, pair: tuple[int, int], n: int) -> tuple[int, ...]:
-    """Merge the triangles (0,i,x) and (0,j,y) into (0, x, i, i+j, j, y).
+def merge_hexagons(vanes, pairs) -> list[tuple[int, ...]]:
+    """Merge the triangles (0,i,x) and (0,j,y) of each pair into (0, x, i, i+j, j, y).
 
-    The two triangles must be present in symbol-keyed form and the sum i+j
-    must not collide with any vertex label anywhere in the labelling; the
-    merged hexagon reproduces the two triangles' edge labels exactly.
+    The pairs merge in order, each seeing the vanes the earlier merges left.
+    Both triangles must be present in symbol-keyed form and the sum i+j must
+    not collide with any vertex label still in use; the merged hexagon
+    reproduces the two triangles' edge labels exactly.  Returns the vanes
+    that no merge consumed, in their order, then the hexagons in merge order.
     """
-    i, j = pair
-    if i == j:
-        raise ValueError("pair must use two distinct symbols")
-
-    def find(sym: int) -> tuple[int, ...]:
-        for vane in vanes:
-            if len(vane) == 3 and vane[1] == sym:
-                return vane
-        raise MissingTriple(f"no triangle (0, {sym}, _) present")
-
-    tri_i = find(i)
-    tri_j = find(j)
-    total = i + j
+    triangles: dict[int, list[tuple[int, ...]]] = {}
     for vane in vanes:
-        if total in vane:
-            raise LabelClash(f"vertex label {total} already used in {vane}")
-    return (0, tri_i[2], i, total, j, tri_j[2])
+        if len(vane) == 3:
+            triangles.setdefault(vane[1], []).append(vane)
+    used = Counter(label for vane in vanes for label in vane)
+    consumed: set[int] = set()
+    hexagons: list[tuple[int, ...]] = []
+
+    def remaining() -> list[tuple[int, ...]]:
+        return [v for v in vanes if not (len(v) == 3 and v[1] in consumed)] + hexagons
+
+    for i, j in pairs:
+        if i == j:
+            raise ValueError("pair must use two distinct symbols")
+        for sym in (i, j):
+            if sym not in triangles:
+                raise MissingTriple(f"no triangle (0, {sym}, _) present")
+        total = i + j
+        if used[total]:
+            clash = next(v for v in remaining() if total in v)
+            raise LabelClash(f"vertex label {total} already used in {clash}")
+        tri_i, tri_j = triangles[i][0], triangles[j][0]
+        for sym in (i, j):
+            for vane in triangles.pop(sym):
+                used.subtract(vane)
+            consumed.add(sym)
+        hexagon = (0, tri_i[2], i, total, j, tri_j[2])
+        used.update(hexagon)
+        hexagons.append(hexagon)
+    return remaining()
+
+
+def hexagon_merge(vanes, pair: tuple[int, int], n: int) -> tuple[int, ...]:
+    """The hexagon ``merge_hexagons`` makes from one pair."""
+    return merge_hexagons(vanes, [pair])[-1]
 
 
 def apply_hexagon_merge(vanes, pair: tuple[int, int], n: int) -> list[tuple[int, ...]]:
     """Non-mutating merge: returns the vane list with the two triangles replaced."""
-    merged = hexagon_merge(vanes, pair, n)
-    i, j = pair
-    out = [v for v in vanes if not (len(v) == 3 and v[1] in (i, j))]
-    out.append(merged)
-    return out
+    return merge_hexagons(vanes, [pair])

@@ -147,6 +147,8 @@ def _cmd_seq_gen(args) -> int:
     if args.kind != "power4":
         _reject_unread(args, args.kind, "trimmed")
     seq = generate(size, trimmed=args.trimmed) if args.kind == "power4" else generate(size)
+    if not seq.entries:
+        raise MalformedLabelling(f"{args.kind} --{option} {size} is the empty sequence")
     print(seq.to_text())
     return EXIT_OK
 

@@ -16,9 +16,9 @@ from importlib import resources
 
 from .assemble import (
     _hexagon_pair_rows,
-    apply_hexagon_merge,
     fivetuples_c5,
     fivetuples_shifted,
+    merge_hexagons,
     quadruples_from_twofold,
     triples_from_pairs,
 )
@@ -423,17 +423,14 @@ def label_c3c6(t: int, h: int) -> Labelling:
     if h > 2 * t + 1:
         raise TooManyHexagons(f"h={h} exceeds the bound 2t+1={2 * t + 1}")
     n = t + 2 * h
-    vanes = list(triples_from_pairs(pairs_of(_triangle_sequence(n)), c=n, variant=2))
+    triangles = triples_from_pairs(pairs_of(_triangle_sequence(n)), c=n, variant=2)
     pair_pool = _hexagon_pair_rows(n)
     if len(pair_pool) < h:  # pragma: no cover - equivalent to the h bound
         raise TooManyHexagons(f"only {len(pair_pool)} mergeable pairs for n={n}")
-    for pair in pair_pool[:h]:
-        vanes = apply_hexagon_merge(vanes, pair, n)
+    # the triangles that no merge consumed come first, then the hexagons
+    vanes = tuple(merge_hexagons(triangles, pair_pool[:h]))
     spec = WindmillSpec.of((3, t), (6, h)) if h else WindmillSpec.of((3, t))
-    ordered = tuple(v for v in vanes if len(v) == 3) + tuple(
-        v for v in vanes if len(v) == 6
-    )
-    return _checked(Labelling(spec, ordered, expected_mode(spec)))
+    return _checked(Labelling(spec, vanes, expected_mode(spec)))
 
 
 # ---------------------------------------------------------------------------

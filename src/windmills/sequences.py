@@ -13,7 +13,7 @@ Positions are 1-based everywhere; only the storage boundary converts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     HookedOperand,
@@ -72,6 +72,13 @@ class SkolemTypeSequence:
 
     def to_text(self) -> str:
         return ",".join(str(e) for e in self.entries)
+
+    @cached_property
+    def _pairs(self) -> PairSet:
+        # Computed once per instance: the generators' validation and the
+        # families then read the same pairing.  Stored in the instance dict,
+        # outside the dataclass fields, so equality and hashing ignore it.
+        return _greedy_pairs(self)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"({self.to_text()})"
@@ -132,20 +139,34 @@ def pairs_of(seq: SkolemTypeSequence) -> PairSet:
     """Greedy left-to-right pairing of each symbol's occurrences.
 
     Every table construction in this package yields sequences for which the
-    greedy pairing is the unique valid one; anything else is rejected.
+    greedy pairing is the unique valid one; anything else is rejected.  The
+    result is cached on ``seq``, so a second call returns the same object.
     """
+    return seq._pairs
+
+
+def _greedy_pairs(seq: SkolemTypeSequence) -> PairSet:
+    # One sweep collects every symbol's positions; then, symbol by symbol in
+    # increasing order, the leftmost unpaired occurrence pairs with the cell
+    # ``sym`` to its right, which must hold ``sym`` and still be unpaired.
+    entries = seq.entries
+    positions: dict[int, list[int]] = {}
+    for pos, sym in enumerate(entries, 1):
+        if sym:
+            positions.setdefault(sym, []).append(pos)
+    rights: set[int] = set()
     pairs: dict[int, list[Pair]] = {}
-    for sym in sorted(seq.symbol_set):
-        positions = list(seq.positions_of(sym))
+    for sym in sorted(positions):
         matched: list[Pair] = []
-        while positions:
-            left = positions.pop(0)
+        for left in positions[sym]:
+            if left in rights:
+                continue
             right = left + sym
-            if right not in positions:
+            if right > len(entries) or entries[right - 1] != sym or right in rights:
                 raise UnmatchedSymbol(
                     f"symbol {sym}: no partner at distance {sym} from position {left}"
                 )
-            positions.remove(right)
+            rights.add(right)
             matched.append((left, right))
         pairs[sym] = matched
     return PairSet(pairs, seq.length)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 
 from .errors import MalformedLabelling
 
@@ -158,6 +160,23 @@ class VerificationReport:
         return f"FAILED ({self.mode_checked}, m={self.m}): " + "; ".join(parts)
 
 
+def _passes(labelling: Labelling, vertices: list[int], edges: list[int]) -> bool:
+    """Whether ``_check`` would find no fault; ``edges`` is sorted and distinct.
+
+    Every vane starts at the central 0, so the vanes laid end to end form one
+    closed walk with the same edges, and its labels other than the vanes'
+    leading zeros are the vertex labels.  These must be distinct members of
+    ``vertices`` (a non-central 0 shrinks the set below their count), and
+    the sorted edge labels must equal ``edges``: one multiset comparison.
+    """
+    walk = list(chain.from_iterable(labelling.vanes))
+    distinct = set(walk)
+    distinct.discard(0)
+    if len(distinct) != len(walk) - len(labelling.vanes) or not distinct.issubset(vertices):
+        return False
+    return sorted(map(abs, map(sub, walk, walk[1:] + walk[:1]))) == edges
+
+
 def _check(labelling: Labelling, vertices: list[int], edges: list[int]) -> tuple:
     counts = Counter(labelling.vertex_labels())
     duplicates = tuple(sorted(v for v, c in counts.items() if c > 1))
@@ -186,15 +205,15 @@ def verify(labelling: Labelling, permissive_near: bool = False) -> VerificationR
     [1, m] with vertices up to m+1 (flagged in the note).
     """
     m, mode = labelling.spec.edge_count, labelling.mode
-    faults = _check(labelling, labels(m, mode), labels(m, mode))
-    if not any(faults):
+    target = labels(m, mode)
+    if _passes(labelling, target, target):
         note = "omits m, uses m+1" if mode == NEAR_GRACEFUL else ""
         return VerificationReport(True, m, mode, note=note)
     if mode == NEAR_GRACEFUL and permissive_near:
-        if not any(_check(labelling, labels(m + 1, GRACEFUL), labels(m, GRACEFUL))):
+        if _passes(labelling, labels(m + 1, GRACEFUL), labels(m, GRACEFUL)):
             note = "permissive variant: edges [1,m], vertices up to m+1"
             return VerificationReport(True, m, mode, note=note)
-    return VerificationReport(False, m, mode, *faults)
+    return VerificationReport(False, m, mode, *_check(labelling, target, target))
 
 
 def expected_mode(spec: WindmillSpec) -> str:

@@ -2,12 +2,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windmills.assemble import (
     fivetuples_c5,
     hexagon_merge,
     apply_hexagon_merge,
     hexagon_pairs,
+    merge_hexagons,
     quadruples_from_twofold,
     triples_from_pairs,
 )
@@ -279,3 +281,78 @@ def test_hexagon_merge_randomised_edge_preservation():
             vanes = apply_hexagon_merge(vanes, pair, n)
             assert edges_of(vanes) == before
             applications += 1
+
+
+def reference_merge(vanes, pair):
+    """One merge as it was before ``merge_hexagons``: three scans of the vanes."""
+    i, j = pair
+    if i == j:
+        raise ValueError("pair must use two distinct symbols")
+
+    def find(sym):
+        for vane in vanes:
+            if len(vane) == 3 and vane[1] == sym:
+                return vane
+        raise MissingTriple(f"no triangle (0, {sym}, _) present")
+
+    tri_i = find(i)
+    tri_j = find(j)
+    total = i + j
+    for vane in vanes:
+        if total in vane:
+            raise LabelClash(f"vertex label {total} already used in {vane}")
+    merged = (0, tri_i[2], i, total, j, tri_j[2])
+    return [v for v in vanes if not (len(v) == 3 and v[1] in (i, j))] + [merged]
+
+
+def reference_merges(vanes, pairs):
+    for pair in pairs:
+        vanes = reference_merge(vanes, pair)
+    return list(vanes)
+
+
+def merge_outcome(merge, vanes, pairs):
+    try:
+        return merge(vanes, pairs)
+    except (ValueError, MissingTriple, LabelClash) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_merge_hexagons_matches_iterated_merges():
+    for n in range(5, 201):
+        seq = gen_skolem(n) if n % 4 in (0, 1) else gen_hooked_skolem(n)
+        triangles = triples_from_pairs(pairs_of(seq), n, 2)
+        pairs = hexagon_pairs(n)
+        expected = list(triangles)
+        assert merge_hexagons(triangles, []) == expected
+        for h in range(1, len(pairs) + 1):
+            expected = reference_merge(expected, pairs[h - 1])
+            assert merge_hexagons(triangles, pairs[:h]) == expected, (n, h)
+
+
+vane_lists = st.lists(
+    st.one_of(
+        st.tuples(st.just(0), st.integers(1, 12), st.integers(1, 24)),
+        st.tuples(st.just(0), st.integers(1, 24), st.integers(1, 24), st.integers(1, 24)),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vane_lists, st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=5))
+def test_merge_hexagons_matches_iterated_merges_on_any_vanes(vanes, pairs):
+    # repeated symbols, clashes, missing triangles and i == j all included
+    assert merge_outcome(merge_hexagons, vanes, pairs) == merge_outcome(
+        reference_merges, vanes, pairs
+    )
+
+
+def test_single_merges_are_merge_hexagons():
+    triples = [(0, 1, 6), (0, 2, 10), (0, 3, 7)]
+    assert apply_hexagon_merge(triples, (1, 3), 3) == merge_hexagons(triples, [(1, 3)])
+    assert hexagon_merge(triples, (1, 3), 3) == merge_hexagons(triples, [(1, 3)])[-1]
+    with pytest.raises(LabelClash, match=r"vertex label 3 already used in \(0, 3, 7\)"):
+        merge_hexagons(triples, [(1, 2)])
+    with pytest.raises(MissingTriple, match=r"no triangle \(0, 1, _\) present"):
+        merge_hexagons(triples, [(1, 3), (1, 2)])  # the first merge consumed 1

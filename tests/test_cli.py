@@ -50,6 +50,14 @@ def test_seq_gen_unsupported_order(capsys):
     assert code == 2 and "NoSuchSequence" in err
 
 
+def test_seq_gen_empty_sequence_rejected(capsys):
+    # small-c index 0 is the empty two-fold sequence, which has no text form;
+    # the composites still use it (fixed_small_twofold(0))
+    code, out, err = run(capsys, "seq", "gen", "--kind", "small-c", "--order", "0")
+    assert code == 3 and out == ""
+    assert err == "error: small-c --order 0 is the empty sequence\n"
+
+
 def test_seq_validate_missing_defect(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("4,2,3,2,4,3"))
     code, out, err = run(capsys, "seq", "validate", "--stdin", "--kind", "langford")

@@ -1,3 +1,4 @@
+import signal
 from collections import Counter
 from dataclasses import replace
 
@@ -401,6 +402,36 @@ def test_label_c3c6_cells(t, h):
     lab = label_c3c6(t, h)
     assert verify(lab).ok
     assert lab.mode == expected_mode(lab.spec)
+
+
+# -- scaling ------------------------------------------------------------------
+
+# Each builds and checks in well under a second with linear-time pairing,
+# merging and verification; with the quadratic ones three of them took
+# 6-93 s.
+LARGE_CELLS = {
+    "c3=20000": lambda: verify(label_c3(20000)).ok,
+    "skolem-8000": lambda: sequences.validate(
+        sequences.gen_skolem(8000), sequences.SequenceKind("skolem")
+    ).ok,
+    "c5=5000": lambda: verify(label_c5(5000)).ok,
+    "c3=2000,c6=2000": lambda: verify(label_c3c6(2000, 2000)).ok,
+}
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("cell", sorted(LARGE_CELLS))
+def test_large_cells_build_and_verify_within_5s(cell):
+    def expire(signum, frame):
+        raise TimeoutError(f"{cell} ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        assert LARGE_CELLS[cell]()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- audit ----------------------------------------------------------------

@@ -121,6 +121,113 @@ def test_pairs_roundtrip_examples():
         assert pairs_of(s).to_entries() == s
 
 
+def reference_pairs_of(seq):
+    """The quadratic greedy pairing that ``pairs_of`` replaced, kept as a reference."""
+    pairs = {}
+    for sym in sorted(seq.symbol_set):
+        positions = list(seq.positions_of(sym))
+        matched = []
+        while positions:
+            left = positions.pop(0)
+            right = left + sym
+            if right not in positions:
+                raise UnmatchedSymbol(
+                    f"symbol {sym}: no partner at distance {sym} from position {left}"
+                )
+            positions.remove(right)
+            matched.append((left, right))
+        pairs[sym] = matched
+    return sequences.PairSet(pairs, seq.length)
+
+
+def outcome(pair, entries):
+    # a fresh instance, so no pairing cached by a generator is read
+    try:
+        return pair(SkolemTypeSequence(tuple(entries)))
+    except UnmatchedSymbol as exc:
+        return str(exc)
+
+
+GENERATED = (
+    [gen_skolem(n) for n in range(1, 41) if n % 4 in (0, 1)]
+    + [gen_hooked_skolem(n) for n in range(2, 41) if n % 4 in (2, 3)]
+    + [gen_langford_doubledefect(d) for d in range(1, 15)]
+    + [gen_near_skolem_topdefect(n) for n in range(11, 60, 2)]
+    + [gen_twofold_skolem(n) for n in range(1, 31)]
+    + [gen_power4(x, trimmed=trimmed) for x in range(1, 11) for trimmed in (False, True)]
+    + [gen_twofold_langford(k) for k in range(1, 6)]
+    + [fixed_small_twofold(y) for y in range(5)]
+)
+
+
+def place_pairs(placements, length=24):
+    """Entries holding each (symbol, left) pair whose two cells are still free."""
+    entries = [0] * length
+    for sym, left in placements:
+        right = left + sym
+        if right <= length and entries[left - 1] == entries[right - 1] == 0:
+            entries[left - 1] = entries[right - 1] = sym
+    return entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=24))
+def test_pairs_of_matches_reference_on_random_entries(entries):
+    assert outcome(pairs_of, entries) == outcome(reference_pairs_of, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(GENERATED),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_pairs_of_matches_reference_on_generated_sequences(seq, i, j):
+    entries = list(seq.entries)
+    assert outcome(pairs_of, entries) == outcome(reference_pairs_of, entries)
+    if entries:  # swapping two cells usually breaks the pairing
+        i, j = i % len(entries), j % len(entries)
+        entries[i], entries[j] = entries[j], entries[i]
+        assert outcome(pairs_of, entries) == outcome(reference_pairs_of, entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=23)),
+        max_size=16,
+    )
+)
+def test_pairs_of_matches_reference_on_interleaved_twofold(placements):
+    # placing a symbol twice often interleaves its pairs, as in 3,3,0,3,3
+    entries = place_pairs(placements)
+    assert outcome(pairs_of, entries) == outcome(reference_pairs_of, entries)
+
+
+def test_pairs_of_greedy_on_interleaved_pairs():
+    # symbol 3 at positions 1, 2, 4, 5: pairing each occurrence with the
+    # previous open one would reject this
+    s = seq(3, 3, 0, 3, 3)
+    assert pairs_of(s).pairs_for(3) == ((1, 4), (2, 5))
+    assert pairs_of(s) == reference_pairs_of(s)
+
+
+def test_pairs_of_reports_the_first_failing_symbol():
+    # 3 fails at position 1 and 1 at position 5, while 2 pairs: the smallest
+    # failing symbol is reported, not the leftmost failure
+    s = seq(3, 2, 0, 2, 1, 0, 1, 3)
+    with pytest.raises(UnmatchedSymbol, match=r"^symbol 1: no partner at distance 1 from position 5$"):
+        pairs_of(s)
+
+
+def test_pairs_of_is_cached_on_the_sequence():
+    s = seq(3, 1, 1, 3, 2, 0, 2)
+    assert pairs_of(s) is pairs_of(s)
+    assert s == seq(3, 1, 1, 3, 2, 0, 2) and hash(s) == hash(seq(3, 1, 1, 3, 2, 0, 2))
+    gen = gen_skolem(12)  # its validation already paired it
+    assert pairs_of(gen) is pairs_of(gen)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=60))
 def test_pairs_roundtrip_property(n):

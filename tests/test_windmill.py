@@ -1,18 +1,23 @@
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windmills.errors import MalformedLabelling
+from windmills.errors import MalformedLabelling, UnsupportedCombination
+from windmills.families import label_c3, label_c3c4, label_c3c5, label_c3c6, label_c5
 from windmills.windmill import (
     GRACEFUL,
     Labelling,
     NEAR_GRACEFUL,
+    VerificationReport,
     WindmillSpec,
     edge_multiset,
     expected_mode,
     from_json,
+    labels,
     to_dot,
     to_json,
     verify,
@@ -189,3 +194,78 @@ def test_dot_export():
     assert 'v18 -- v20 [label="2"];' in dot
     # one node line per distinct label, one edge line per edge
     assert dot.count(" -- ") == 24
+
+
+def reference_check(labelling, vertices, edges):
+    """The fault finder ``verify`` ran on every call before its cheap passing check."""
+    counts = Counter(labelling.vertex_labels())
+    duplicates = tuple(sorted(v for v, c in counts.items() if c > 1))
+    allowed = set(vertices)
+    out_of_range = tuple(sorted(v for v in counts if v not in allowed))
+    actual, target = edge_multiset(labelling), Counter(edges)
+    missing = tuple(sorted((target - actual).elements()))
+    extra = tuple(sorted((actual - target).elements()))
+    return duplicates, out_of_range, missing, extra
+
+
+def reference_verify(labelling, permissive_near=False):
+    m, mode = labelling.spec.edge_count, labelling.mode
+    faults = reference_check(labelling, labels(m, mode), labels(m, mode))
+    if not any(faults):
+        note = "omits m, uses m+1" if mode == NEAR_GRACEFUL else ""
+        return VerificationReport(True, m, mode, note=note)
+    if mode == NEAR_GRACEFUL and permissive_near:
+        if not any(reference_check(labelling, labels(m + 1, GRACEFUL), labels(m, GRACEFUL))):
+            note = "permissive variant: edges [1,m], vertices up to m+1"
+            return VerificationReport(True, m, mode, note=note)
+    return VerificationReport(False, m, mode, *faults)
+
+
+def small_family_labellings():
+    yield from (label_c3(t) for t in range(1, 10))
+    yield from (label_c5(p) for p in range(1, 8))
+    yield from (label_c3c4(t, s)[0] for t in range(1, 6) for s in range(0, 12, 3))
+    yield from (label_c3c6(t, h) for t in range(1, 5) for h in range(0, 2 * t + 2))
+    for t in range(1, 14):
+        for p in range(1, 5):
+            try:
+                yield label_c3c5(t, p)
+            except UnsupportedCombination:
+                pass
+    yield FIGURE_STYLE
+
+
+def mutants(lab, rng):
+    """The labelling with its mode flipped, and one vertex label changed at a
+    few positions: +1, set to m, m+1 or 0, or set to another vertex's label."""
+    m = lab.spec.edge_count
+    other = NEAR_GRACEFUL if lab.mode == GRACEFUL else GRACEFUL
+    yield replace(lab, mode=other)
+    cells = [(k, i) for k, vane in enumerate(lab.vanes) for i in range(1, len(vane))]
+    for k, i in rng.sample(cells, min(len(cells), 6)):
+        label = lab.vanes[k][i]
+        dk, di = rng.choice(cells)
+        for new in (label + 1, m, m + 1, 0, lab.vanes[dk][di]):
+            vanes = list(lab.vanes)
+            vanes[k] = vanes[k][:i] + (new,) + vanes[k][i + 1 :]
+            mutant = replace(lab, vanes=tuple(vanes))
+            yield mutant
+            yield replace(mutant, mode=other)
+
+
+def test_verify_matches_reference_on_families_and_mutants():
+    rng = random.Random(8)
+    verdicts = set()
+    for lab in small_family_labellings():
+        for case in (lab, *mutants(lab, rng)):
+            for permissive in (False, True):
+                report = verify(case, permissive_near=permissive)
+                assert report == reference_verify(case, permissive_near=permissive), case
+                verdicts.add((report.ok, report.note.split(":")[0]))
+    # strict, near and permissive passes and failures all occur
+    assert verdicts == {
+        (True, ""),
+        (True, "omits m, uses m+1"),
+        (True, "permissive variant"),
+        (False, ""),
+    }
