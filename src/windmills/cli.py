@@ -248,6 +248,8 @@ def _cmd_oracle(args) -> int:
         _reject_unread(args, "oracle --seq-kind", "mode", "max_label", "budget")
         if args.order is None:
             raise MalformedLabelling("oracle --seq-kind needs --order")
+        if args.order < 1:
+            raise MalformedLabelling(f"--order must be >= 1, got {args.order}")
         kind = SequenceKind(args.seq_kind, defect=args.defect)
         results = oracle.search_sequence(kind, args.order, enumerate_all=args.all)
         if not results:

@@ -68,18 +68,20 @@ def _search_vanes(
 ) -> tuple[list[tuple[int, ...]] | None, int]:
     """First vane assignment hitting every edge label once: (vanes or None, nodes).
 
-    Backtracking with an edge bitmask; raises ``_BudgetExhausted`` past
-    ``node_budget`` nodes.  Value order is descending (the scarce large labels
-    first).  Symmetry reduction: equal-length vanes are ordered by decreasing
-    first vertex and every vane is oriented with its last vertex above its
-    first; both are canonical-form choices, so no labelling class is lost.
+    Backtracking over bitmasks of the free vertex and edge labels; raises
+    ``_BudgetExhausted`` past ``node_budget`` nodes.  Value order is
+    descending (the scarce large labels first).  Symmetry reduction:
+    equal-length vanes are ordered by decreasing first vertex and every vane
+    is oriented with its last vertex above its first; both are canonical-form
+    choices, so no labelling class is lost.
     """
     vanes = [[0] * length for length in cycles]
-    used: set[int] = set()
-    descending = sorted(vertices, reverse=True)
+    top = max(edges + vertices, default=0)
     nodes = 0
 
-    def rec(idx: int, pos: int, mask: int) -> bool:
+    def rec(idx: int, pos: int, free: int, mask: int, mirror: int) -> bool:
+        # free: vertex labels still unused; mask: edge labels still unused,
+        # bit e for edge e; mirror: the same edges at bit top - e
         nonlocal nodes
         if idx == len(cycles):
             return True
@@ -87,32 +89,35 @@ def _search_vanes(
         vane = vanes[idx]
         prev = vane[pos - 1]
         last = pos == length - 1
-        cap = None
+        # v = prev + e or v = prev - e for a free edge label e
+        cand = free & ((mask << prev) | (mirror >> (top - prev)))
         if pos == 1 and idx > 0 and cycles[idx - 1] == length:
-            cap = vanes[idx - 1][1]  # decreasing first vertices
-        for v in descending:
-            if v in used or (cap is not None and v >= cap):
-                continue
-            bit = 1 << abs(v - prev)
-            if not mask & bit:
-                continue
-            rest = mask & ~bit
+            cand &= (1 << vanes[idx - 1][1]) - 1  # decreasing first vertices
+        if last:
+            # the closing edge v is free, and the last vertex lies above the first
+            cand &= mask >> (vane[1] + 1) << (vane[1] + 1)
+        next_idx, next_pos = (idx + 1, 1) if last else (idx, pos + 1)
+        while cand:
+            v = cand.bit_length() - 1
+            bit = 1 << v
+            cand ^= bit
+            e = v - prev if v > prev else prev - v
+            rest, rest_mirror = mask ^ (1 << e), mirror ^ (1 << (top - e))
             if last:
-                closing = 1 << v  # the edge back to the centre
-                if v <= vane[1] or not rest & closing:  # orientation: last above first
+                if e == v:  # the closing edge is the one just used
                     continue
-                rest &= ~closing
+                rest, rest_mirror = rest ^ bit, rest_mirror ^ (1 << (top - v))
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise _BudgetExhausted(nodes)
             vane[pos] = v  # read only below this node, so never reset
-            used.add(v)
-            if rec(idx + 1, 1, rest) if last else rec(idx, pos + 1, rest):
+            if rec(next_idx, next_pos, free ^ bit, rest, rest_mirror):
                 return True
-            used.remove(v)
         return False
 
-    if rec(0, 1, sum(1 << e for e in edges)):
+    mask = sum(1 << e for e in edges)
+    mirror = sum(1 << (top - e) for e in edges)
+    if rec(0, 1, sum(1 << v for v in vertices), mask, mirror):
         return [tuple(vane) for vane in vanes], nodes
     return None, nodes
 
@@ -169,6 +174,8 @@ def search_labelling(
 def _symbols(kind: SequenceKind, n: int) -> list[int]:
     """The symbols of a search of nominal order n, largest first."""
     near = kind.tag in ("near-skolem", "hooked-near-skolem")
+    if near and kind.defect > n:
+        raise ValueError(f"near-Skolem defect {kind.defect} exceeds order {n}")
     expected = kind.expected_symbols(n - 1 if near else n)  # n counts the omitted symbol
     if expected is None:
         raise ValueError(f"searching {kind.tag!r} needs an explicit symbol set")
@@ -178,7 +185,7 @@ def _symbols(kind: SequenceKind, n: int) -> list[int]:
 def search_sequence(
     kind: SequenceKind, n: int, enumerate_all: bool = False
 ) -> list[SkolemTypeSequence]:
-    """Depth-first placement of symbols, largest first.
+    """Depth-first placement of symbols, largest first, over a bitmask of free cells.
 
     Returns every sequence of the kind (``enumerate_all``) or the first one
     found; the empty list is an exhaustive negative.
@@ -194,14 +201,16 @@ def search_sequence(
         empty = SkolemTypeSequence(())
         return [empty] if validate(empty, kind).ok else []
     slots = [sym for sym in symbols for _ in range(kind.fold)]
+    # a symbol's later copy starts to the right of its earlier one
+    repeats = [slots[i + 1 : i + 2] == [sym] for i, sym in enumerate(slots)]
     length = 2 * len(slots) + kind.hooked
     entries = [0] * length
-    free = [True] * (length + 1)  # cells 1..length
+    free = (1 << (length + 1)) - 2  # bit a for each free cell a in 1..length
     if kind.hooked:
-        free[length - 1] = False  # the hook, next to last
+        free ^= 1 << (length - 1)  # the hook, next to last
     results: list[SkolemTypeSequence] = []
 
-    def place(idx: int, start: int) -> bool:
+    def place(idx: int, start: int, free: int) -> bool:
         if idx == len(slots):
             seq = SkolemTypeSequence(tuple(entries))
             report = validate(seq, kind)
@@ -210,16 +219,17 @@ def search_sequence(
             results.append(seq)
             return not enumerate_all
         sym = slots[idx]
-        for a in range(start, length - sym + 1):
-            if free[a] and free[a + sym]:
-                free[a] = free[a + sym] = False
-                # every full placement rewrites all non-hook cells: no entry reset
-                entries[a - 1] = entries[a + sym - 1] = sym
-                # a symbol's later copy starts to the right of its earlier one
-                if place(idx + 1, a + 1 if slots[idx + 1 : idx + 2] == [sym] else 1):
-                    return True
-                free[a] = free[a + sym] = True
+        # left ends a >= start with cells a and a + sym both free, leftmost first
+        ends = free & (free >> sym) & -(1 << start)
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            a = low.bit_length() - 1
+            # every full placement rewrites all non-hook cells: no entry reset
+            entries[a - 1] = entries[a + sym - 1] = sym
+            if place(idx + 1, a + 1 if repeats[idx] else 1, free ^ low ^ (low << sym)):
+                return True
         return False
 
-    place(0, 1)
+    place(0, 1, free)
     return results

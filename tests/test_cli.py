@@ -208,6 +208,22 @@ def test_oracle_max_label_below_one_rejected(capsys, max_label):
     assert code == 3 and out == "" and "--max-label" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_oracle_seq_order_below_one_rejected(capsys, order):
+    code, out, err = run(capsys, "oracle", "--seq-kind", "skolem", "--order", order)
+    assert (code, out) == (3, "")
+    assert err.strip() == f"error: --order must be >= 1, got {order}"
+
+
+@pytest.mark.parametrize("tag", ["near-skolem", "hooked-near-skolem"])
+def test_oracle_near_skolem_defect_above_order_rejected(capsys, tag):
+    code, out, err = run(
+        capsys, "oracle", "--seq-kind", tag, "--defect", "9", "--order", "3"
+    )
+    assert (code, out) == (3, "")
+    assert err.strip() == "error: near-Skolem defect 9 exceeds order 3"
+
+
 def test_oracle_negative_names_the_max_label_cut(capsys):
     # C4 is graceful, so a negative below its top label 4 comes from the cut
     code, out, _ = run(

@@ -1,16 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from windmills import oracle
 from windmills.errors import OrderTooLarge, SpecTooLarge
 from windmills.oracle import (
     BUDGET_EXHAUSTED,
     FOUND,
     NONE,
+    _BudgetExhausted,
+    _search_vanes,
     fixture_json_obj,
     search_labelling,
     search_sequence,
 )
-from windmills.sequences import SequenceKind, exists, validate
-from windmills.windmill import GRACEFUL, NEAR_GRACEFUL, WindmillSpec, verify
+from windmills.sequences import SequenceKind, SkolemTypeSequence, exists, validate
+from windmills.windmill import GRACEFUL, NEAR_GRACEFUL, WindmillSpec, labels, verify
 
 
 def test_search_single_square():
@@ -153,3 +157,195 @@ def test_search_twofold_order_two_enumeration():
 def test_search_sequence_enumeration_order(tag, n, count, first, last):
     found = [s.to_text() for s in search_sequence(SequenceKind(tag), n, enumerate_all=True)]
     assert (len(found), found[0], found[-1]) == (count, first, last)
+
+
+@pytest.mark.parametrize(
+    "spec, mode, nodes",
+    [("c3=2,c4=2", GRACEFUL, 368976), ("c3=2,c6=2", NEAR_GRACEFUL, 60702)],
+)
+def test_search_heavy_node_counts(spec, mode, nodes):
+    result = search_labelling(WindmillSpec.parse(spec), mode)
+    assert result.nodes == nodes
+    if mode == GRACEFUL:
+        assert result.status == NONE
+    else:
+        assert result.status == FOUND and verify(result.labelling).ok
+        assert result.labelling.vanes == (
+            (0, 17, 16, 14, 3, 19),
+            (0, 10, 4, 8, 1, 15),
+            (0, 9, 12),
+            (0, 5, 13),
+        )
+
+
+# ---------------------------------------------------------------------------
+# The per-value loops the bitmask searches replaced, kept as references
+# ---------------------------------------------------------------------------
+
+
+def reference_search_vanes(cycles, vertices, edges, node_budget):
+    """The per-value loop of ``_search_vanes`` before its bitmask kernel."""
+    vanes = [[0] * length for length in cycles]
+    used = set()
+    descending = sorted(vertices, reverse=True)
+    nodes = 0
+
+    def rec(idx, pos, mask):
+        nonlocal nodes
+        if idx == len(cycles):
+            return True
+        length = cycles[idx]
+        vane = vanes[idx]
+        prev = vane[pos - 1]
+        last = pos == length - 1
+        cap = None
+        if pos == 1 and idx > 0 and cycles[idx - 1] == length:
+            cap = vanes[idx - 1][1]
+        for v in descending:
+            if v in used or (cap is not None and v >= cap):
+                continue
+            bit = 1 << abs(v - prev)
+            if not mask & bit:
+                continue
+            rest = mask & ~bit
+            if last:
+                closing = 1 << v
+                if v <= vane[1] or not rest & closing:
+                    continue
+                rest &= ~closing
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise _BudgetExhausted(nodes)
+            vane[pos] = v
+            used.add(v)
+            if rec(idx + 1, 1, rest) if last else rec(idx, pos + 1, rest):
+                return True
+            used.remove(v)
+        return False
+
+    if rec(0, 1, sum(1 << e for e in edges)):
+        return [tuple(vane) for vane in vanes], nodes
+    return None, nodes
+
+
+def reference_search_sequence(kind, n, enumerate_all=False):
+    """The per-cell loop of ``search_sequence`` before its bitmask kernel."""
+    symbols = oracle._symbols(kind, n)
+    if not symbols:
+        if kind.hooked:
+            return []
+        empty = SkolemTypeSequence(())
+        return [empty] if validate(empty, kind).ok else []
+    slots = [sym for sym in symbols for _ in range(kind.fold)]
+    length = 2 * len(slots) + kind.hooked
+    entries = [0] * length
+    free = [True] * (length + 1)
+    if kind.hooked:
+        free[length - 1] = False
+    results = []
+
+    def place(idx, start):
+        if idx == len(slots):
+            results.append(SkolemTypeSequence(tuple(entries)))
+            return not enumerate_all
+        sym = slots[idx]
+        for a in range(start, length - sym + 1):
+            if free[a] and free[a + sym]:
+                free[a] = free[a + sym] = False
+                entries[a - 1] = entries[a + sym - 1] = sym
+                if place(idx + 1, a + 1 if slots[idx + 1 : idx + 2] == [sym] else 1):
+                    return True
+                free[a] = free[a + sym] = True
+        return False
+
+    place(0, 1)
+    return results
+
+
+def vanes_outcome(search, cycles, vertices, edges, node_budget):
+    try:
+        vanes, nodes = search(cycles, vertices, edges, node_budget)
+    except _BudgetExhausted as exc:
+        return ("budget", exc.nodes)
+    return (vanes or None, nodes)
+
+
+CRITERION_7_SPECS = (
+    [f"c3={t}" for t in range(1, 7)]
+    + [f"c5={p}" for p in range(1, 4)]
+    + [f"c3={t},c4={s}" for t, s in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]]
+    + [f"c3={t},c5={p}" for t, p in [(1, 1), (3, 1), (4, 1)]]
+    + [f"c3={t},c6={h}" for t, h in [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2)]]
+)
+
+
+def search_targets(spec, mode):
+    """(cycles, vertices, edges) of the strict and the permissive search."""
+    m = spec.edge_count
+    cycles = sorted((l for l, c in spec.vanes for _ in range(c)), reverse=True)
+    return [
+        (cycles, labels(m, mode), labels(m, mode)),
+        (cycles, labels(m + 1, GRACEFUL), labels(m, GRACEFUL)),
+    ]
+
+
+@pytest.mark.parametrize("mode", [GRACEFUL, NEAR_GRACEFUL])
+@pytest.mark.parametrize("text", CRITERION_7_SPECS)
+def test_search_vanes_matches_reference(text, mode):
+    spec = WindmillSpec.parse(text)
+    m = spec.edge_count
+    for cycles, vertices, edges in search_targets(spec, mode):
+        for max_label in (None, m - 1, 3):
+            cut = [v for v in vertices if max_label is None or v <= max_label]
+            for budget in (0, 7, 300, 20000):
+                args = (cycles, cut, edges, budget)
+                want = vanes_outcome(reference_search_vanes, *args)
+                assert vanes_outcome(_search_vanes, *args) == want, (max_label, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=3, max_value=8), min_size=1, max_size=4).filter(
+        lambda cycles: sum(cycles) <= 12
+    ),
+    st.sampled_from([GRACEFUL, NEAR_GRACEFUL]),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=13)),
+    st.sampled_from([0, 7, 300, 20000]),
+)
+def test_search_vanes_matches_reference_on_random_cycles(
+    cycles, mode, permissive, max_label, budget
+):
+    cycles = sorted(cycles, reverse=True)
+    spec = WindmillSpec.of(*((l, cycles.count(l)) for l in sorted(set(cycles))))
+    _, vertices, edges = search_targets(spec, mode)[permissive]
+    cut = [v for v in vertices if max_label is None or v <= max_label]
+    args = (cycles, cut, edges, budget)
+    assert vanes_outcome(_search_vanes, *args) == vanes_outcome(reference_search_vanes, *args)
+
+
+def sequence_kinds(n, twofold_max):
+    gapped = frozenset(range(1, n + 2)) - {2}
+    yield SequenceKind("skolem")
+    yield SequenceKind("hooked-skolem")
+    yield SequenceKind("skolem-type", symbols=gapped)
+    for d in range(1, n + 1):
+        yield SequenceKind("near-skolem", defect=d)
+        yield SequenceKind("hooked-near-skolem", defect=d)
+    for d in range(1, (n + 3) // 2):
+        yield SequenceKind("langford", defect=d)
+        yield SequenceKind("hooked-langford", defect=d)
+    if n <= twofold_max:
+        yield SequenceKind("two-fold-skolem")
+        yield SequenceKind("two-fold-skolem-type", symbols=gapped)
+        for d in range(2, (n + 3) // 2):  # defect 1 is the two-fold Skolem tree
+            yield SequenceKind("two-fold-langford", defect=d)
+
+
+# enumerating the 79,238 two-fold Skolem sequences of order 6 takes about 14 s
+@pytest.mark.parametrize("enumerate_all, twofold_max", [(False, 6), (True, 5)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_search_sequence_matches_reference(n, enumerate_all, twofold_max):
+    for kind in sequence_kinds(n, twofold_max):
+        want = reference_search_sequence(kind, n, enumerate_all)
+        assert search_sequence(kind, n, enumerate_all) == want, kind
