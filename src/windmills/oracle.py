@@ -190,6 +190,8 @@ def search_sequence(
     Returns every sequence of the kind (``enumerate_all``) or the first one
     found; the empty list is an exhaustive negative.
     """
+    if n < 1:
+        raise ValueError("order must be a positive integer")
     cap = ENUM_CAP_ORDER if enumerate_all else FIND_CAP_ORDER
     if n > cap:
         raise OrderTooLarge(f"order {n} exceeds the cap of {cap}")

@@ -12,8 +12,9 @@ Positions are 1-based everywhere; only the storage boundary converts.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .errors import (
     HookedOperand,
@@ -351,6 +352,39 @@ class _PairBuilder:
 # Generators
 # ---------------------------------------------------------------------------
 
+# Distinct argument tuples each generator remembers; the least recently used
+# is dropped first.  Neighbouring windmill cells share their sequences, and a
+# sweep over t <= 100, s <= 120 gives no generator more than 120 keys.
+_MEMO_SIZE = 128
+
+
+def _memoised(gen):
+    """Remember the validated entries of ``gen``'s last ``_MEMO_SIZE`` calls.
+
+    A miss returns the sequence ``gen`` built, already validated and paired;
+    a hit returns a new sequence over the stored entries, which pairs itself
+    when first read.  Only entries are kept, never a ``PairSet``, and errors
+    are not remembered.  Keys are typed, so ``8.0`` still fails as uncached.
+    """
+    memo: OrderedDict = OrderedDict()
+
+    @wraps(gen)
+    def cached(*args, **kwargs):
+        key = (args, tuple(kwargs.items()), tuple(map(type, (*args, *kwargs.values()))))
+        entries = memo.pop(key, None)
+        if entries is not None:
+            memo[key] = entries  # now the most recently used
+            return SkolemTypeSequence(entries)
+        seq = gen(*args, **kwargs)
+        memo[key] = seq.entries
+        if len(memo) > _MEMO_SIZE:
+            memo.popitem(last=False)
+        return seq
+
+    cached.memo = memo  # for inspection and clearing
+    return cached
+
+
 _SKOLEM_FIXTURES = {
     1: (1, 1),
     4: (4, 2, 3, 2, 4, 3, 1, 1),
@@ -367,6 +401,7 @@ _HOOKED_FIXTURES = {
 }
 
 
+@_memoised
 def gen_skolem(n: int) -> SkolemTypeSequence:
     """Skolem sequence of order n; exists exactly for n = 0, 1 (mod 4)."""
     if n < 1:
@@ -411,6 +446,7 @@ def _skolem_1mod4(m: int) -> SkolemTypeSequence:
     return t.build(8 * m + 2)
 
 
+@_memoised
 def gen_hooked_skolem(n: int) -> SkolemTypeSequence:
     """Hooked Skolem sequence of order n (hook at position 2n); n = 2, 3 (mod 4)."""
     if n < 2:
@@ -454,6 +490,7 @@ def _hooked_3mod4(m: int) -> SkolemTypeSequence:
     return t.build(8 * m + 7)
 
 
+@_memoised
 def gen_langford_doubledefect(d: int) -> SkolemTypeSequence:
     """Langford sequence with defect d and order 2d-1 (symbols [d, 3d-2])."""
     if d < 1:
@@ -467,6 +504,7 @@ def gen_langford_doubledefect(d: int) -> SkolemTypeSequence:
     return _ensure_valid(seq, SequenceKind("langford", defect=d))
 
 
+@_memoised
 def gen_near_skolem_topdefect(n: int) -> SkolemTypeSequence:
     """Near-Skolem sequence of odd order n omitting n-1; hooked iff n = 1 (mod 4).
 
@@ -524,6 +562,7 @@ def _near_plain_3mod4(m: int) -> SkolemTypeSequence:
     return t.build(8 * m + 4)
 
 
+@_memoised
 def gen_twofold_skolem(n: int) -> SkolemTypeSequence:
     """Two-fold Skolem sequence of order n (exists for every n >= 1)."""
     if n < 1:
@@ -563,6 +602,7 @@ def _twofold_even(n: int) -> SkolemTypeSequence:
     return t.build(4 * n)
 
 
+@_memoised
 def gen_power4(x: int, trimmed: bool = False) -> SkolemTypeSequence:
     """Two-fold sequence over {1} and multiples of 4 up to 4(x-1).
 
@@ -598,6 +638,7 @@ _SMALL_TWOFOLD = (
 )
 
 
+@_memoised
 def fixed_small_twofold(y: int) -> SkolemTypeSequence:
     """The five catalogued small two-fold sequences of orders 0..4."""
     if not 0 <= y <= 4:
@@ -606,6 +647,7 @@ def fixed_small_twofold(y: int) -> SkolemTypeSequence:
     return _ensure_valid(seq, SequenceKind("two-fold-skolem-type", symbols=seq.symbol_set))
 
 
+@_memoised
 def gen_twofold_langford(k: int) -> SkolemTypeSequence:
     """Two-fold Langford sequence with defect 6k-1 and order 4k-1."""
     if k < 1:

@@ -23,6 +23,10 @@ NEAR_GRACEFUL = "near-graceful"
 MODES = (GRACEFUL, NEAR_GRACEFUL)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WindmillSpec:
     """Multiset of (cycle length, vane count) sharing one central vertex."""
@@ -35,7 +39,7 @@ class WindmillSpec:
             if not (isinstance(item, tuple) and len(item) == 2):
                 raise MalformedLabelling(f"bad vane group {item!r}")
             length, count = item
-            if not (isinstance(length, int) and isinstance(count, int)):
+            if not (_is_int(length) and _is_int(count)):
                 raise MalformedLabelling(f"bad vane group {item!r}")
             if length < 3:
                 raise MalformedLabelling(f"cycle length {length} < 3")
@@ -112,7 +116,7 @@ class Labelling:
             if not vane or vane[0] != 0:
                 raise MalformedLabelling(f"vane {vane} must start at the central 0")
             for label in vane:
-                if not isinstance(label, int) or isinstance(label, bool):
+                if not _is_int(label):
                     raise MalformedLabelling(f"non-integer label in {vane}")
 
     def vertex_labels(self) -> list[int]:
@@ -243,13 +247,19 @@ def to_json(labelling: Labelling, indent: int | None = None) -> str:
 
 
 def from_json_obj(obj: dict) -> Labelling:
+    """Read ``to_json_obj``'s layout; every cycle, count and label must be a
+    JSON integer (``1.0``, ``"1"`` and ``true`` are rejected, not coerced)."""
     try:
-        spec = WindmillSpec.of(*((g["cycle"], g["count"]) for g in obj["spec"]))
+        groups = [(g["cycle"], g["count"]) for g in obj["spec"]]
         mode = obj["mode"]
-        vanes = tuple(tuple(int(x) for x in vane) for vane in obj["vanes"])
-    except (KeyError, TypeError, ValueError) as exc:
+        vanes = tuple(tuple(vane) for vane in obj["vanes"])
+    except (KeyError, TypeError) as exc:
         raise MalformedLabelling(f"bad labelling JSON: {exc}") from exc
-    return Labelling(spec=spec, vanes=vanes, mode=mode)
+    for group in groups:
+        # checked here because ``WindmillSpec.of`` drops groups with a falsy count
+        if not all(map(_is_int, group)):
+            raise MalformedLabelling(f"bad vane group {group!r}")
+    return Labelling(spec=WindmillSpec.of(*groups), vanes=vanes, mode=mode)
 
 
 def from_json(text: str) -> Labelling:

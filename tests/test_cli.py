@@ -141,6 +141,15 @@ def test_verify_malformed_input(capsys, tmp_path):
     assert code == 3
 
 
+def test_verify_rejects_float_labels(capsys, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text(
+        '{"spec": [{"cycle": 3, "count": 1}], "mode": "graceful", "vanes": [[0, 1.9, 3]]}'
+    )
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert (code, out) == (3, "") and "non-integer label" in err
+
+
 def test_oracle_graph_none(capsys):
     code, out, _ = run(capsys, "oracle", "--graph", "c3=2", "--mode", "graceful")
     assert code == 0 and out.startswith("none (exhaustive")

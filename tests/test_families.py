@@ -1,3 +1,5 @@
+import hashlib
+import random
 import signal
 from collections import Counter
 from dataclasses import replace
@@ -35,6 +37,7 @@ from windmills.windmill import (
     NEAR_GRACEFUL,
     edge_multiset,
     expected_mode,
+    to_json,
     verify,
 )
 
@@ -482,6 +485,37 @@ def test_c3c4_needs_no_search(monkeypatch):
     for t, s in cells:
         lab, trace = label_c3c4(t, s)
         assert verify(lab).ok and replay(trace), (t, s)
+
+
+_MEMOISED = (
+    sequences.gen_skolem,
+    sequences.gen_hooked_skolem,
+    sequences.gen_langford_doubledefect,
+    sequences.gen_near_skolem_topdefect,
+    sequences.gen_twofold_skolem,
+    sequences.gen_power4,
+    sequences.fixed_small_twofold,
+    sequences.gen_twofold_langford,
+)
+
+
+def _c3c4_digest(t, s):
+    lab, trace = label_c3c4(t, s)
+    return hashlib.sha256((to_json(lab) + "\n" + trace.format()).encode()).digest()
+
+
+def test_warm_generator_memo_changes_no_c3c4_output():
+    # every cell built with each generator memo cleared first (all misses),
+    # then the grid again in a shuffled order with the memos warm (mostly hits)
+    cells = [(t, s) for t in range(1, 41) for s in range(0, 251)]
+    cold = {}
+    for cell in cells:
+        for gen in _MEMOISED:
+            gen.memo.clear()
+        cold[cell] = _c3c4_digest(*cell)
+    random.Random(10).shuffle(cells)
+    for cell in cells:
+        assert _c3c4_digest(*cell) == cold[cell], cell
 
 
 def test_extension_cells_beyond_t_60():

@@ -88,6 +88,19 @@ def test_search_sequence_basics():
     assert all(validate(s, SequenceKind("skolem")).ok for s in all4)
 
 
+@pytest.mark.parametrize("kind", [SequenceKind("skolem"), SequenceKind("langford", defect=2)])
+@pytest.mark.parametrize("n", [0, -3])
+def test_search_sequence_order_below_one_rejected(kind, n):
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        search_sequence(kind, n)
+
+
+def test_search_sequence_degenerate_order():
+    # order 1 omitting its only symbol: the empty sequence is the one answer
+    assert search_sequence(SequenceKind("near-skolem", defect=1), 1) == [SkolemTypeSequence(())]
+    assert search_sequence(SequenceKind("hooked-near-skolem", defect=1), 1) == []
+
+
 def test_search_sequence_cap():
     with pytest.raises(OrderTooLarge):
         search_sequence(SequenceKind("skolem"), 13, enumerate_all=True)

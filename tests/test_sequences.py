@@ -427,8 +427,10 @@ def test_fragment_validation():
 
 
 def test_type_and_kind_guards():
-    with pytest.raises(ValueError):
-        SkolemTypeSequence((1, -2))
+    # a memo hit rebuilds its sequence from stored entries through this check
+    for bad in (-2, True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            SkolemTypeSequence((1, bad))
     with pytest.raises(ValueError):
         SequenceKind("langford")  # defect required
     with pytest.raises(ValueError):
@@ -437,3 +439,91 @@ def test_type_and_kind_guards():
         SequenceKind("mystery")
     with pytest.raises(ValueError):
         SequenceKind("skolem", symbols=frozenset({1}))
+
+
+# -- the generators' memo -------------------------------------------------------
+
+# Valid arguments of every memoised generator, as (args, kwargs).
+MEMOISED = {
+    gen_skolem: [((n,), {}) for n in range(1, 41) if n % 4 in (0, 1)],
+    gen_hooked_skolem: [((n,), {}) for n in range(2, 41) if n % 4 in (2, 3)],
+    gen_langford_doubledefect: [((d,), {}) for d in range(1, 21)],
+    gen_near_skolem_topdefect: [((n,), {}) for n in range(11, 42, 2)],
+    gen_twofold_skolem: [((n,), {}) for n in range(1, 41)],
+    gen_power4: [((0,), {"trimmed": True})]
+    + [((x,), {"trimmed": trimmed}) for x in range(1, 13) for trimmed in (False, True)]
+    + [((x,), {}) for x in range(1, 4)],
+    fixed_small_twofold: [((y,), {}) for y in range(5)],
+    gen_twofold_langford: [((k,), {}) for k in range(1, 9)],
+}
+
+
+@pytest.fixture
+def cold_memos():
+    for gen in MEMOISED:
+        gen.memo.clear()
+    yield
+    for gen in MEMOISED:
+        gen.memo.clear()
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts the ``validate`` calls the generators make through ``_ensure_valid``."""
+    calls = []
+    real = sequences.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("gen", list(MEMOISED), ids=lambda gen: gen.__name__)
+def test_memo_hit_and_miss_match_the_generator(gen, cold_memos, validations):
+    assert gen.__module__ == "windmills.sequences"
+    for args, kwargs in MEMOISED[gen]:
+        want = gen.__wrapped__(*args, **kwargs)
+        del validations[:]
+        miss = gen(*args, **kwargs)
+        # every miss validates, except power4's bare trimmed (1,1) pair
+        assert miss == want and (validations or args == (0,)), (args, kwargs)
+        del validations[:]
+        hit = gen(*args, **kwargs)
+        assert hit == want and not validations, (args, kwargs)
+        # a new object that pairs itself on first use, as the miss was paired
+        assert hit is not miss and "_pairs" not in vars(hit)
+        assert pairs_of(hit) == pairs_of(miss)
+
+
+def test_memo_remembers_no_errors(cold_memos):
+    for _ in range(3):
+        with pytest.raises(NoSuchSequence):
+            gen_skolem(2)
+        with pytest.raises(OutOfRange):
+            gen_power4(-1)
+    assert not gen_skolem.memo and not gen_power4.memo
+
+
+def test_memo_keys_are_typed(cold_memos):
+    assert gen_skolem(8) == gen_skolem.__wrapped__(8)
+    with pytest.raises(TypeError):
+        gen_skolem(8.0)  # as uncached: the closed form needs an integer order
+
+
+def test_memo_is_bounded_and_drops_the_least_recently_used(cold_memos, validations):
+    assert sequences._MEMO_SIZE == 128
+    for n in range(1, 129):
+        gen_twofold_skolem(n)
+    gen_twofold_skolem(1)  # a hit: order 1 is now the most recently used
+    gen_twofold_skolem(129)
+    assert len(gen_twofold_skolem.memo) == 128
+    del validations[:]
+    gen_twofold_skolem(1)
+    gen_twofold_skolem(129)
+    assert not validations  # both still held
+    gen_twofold_skolem(2)
+    assert len(validations) == 1  # order 2 was the oldest and had been dropped
+    assert len(gen_twofold_skolem.memo) == 128

@@ -47,6 +47,9 @@ def test_spec_invariants():
         WindmillSpec.of((2, 1))
     with pytest.raises(MalformedLabelling):
         WindmillSpec(((3, 1), (3, 2)))  # duplicate length
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(MalformedLabelling):
+            WindmillSpec(((3, bad),))
 
 
 def test_spec_parse():
@@ -140,6 +143,9 @@ def test_labelling_structural_checks():
         Labelling(spec, ((0, 1, 2, 3),), GRACEFUL)  # wrong length
     with pytest.raises(MalformedLabelling):
         Labelling(spec, ((0, 1, 3),), "sort-of-graceful")
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(MalformedLabelling):
+            Labelling(spec, ((0, bad, 3),), GRACEFUL)
 
 
 def test_verifier_total_on_weird_labels():
@@ -184,6 +190,28 @@ def test_json_roundtrip():
         from_json("{not json")
     with pytest.raises(MalformedLabelling):
         from_json('{"spec": [], "mode": "graceful"}')
+
+
+@pytest.mark.parametrize(
+    "spec,vane",
+    [
+        ('{"cycle": 3, "count": 1}', "[0, 1.9, 3]"),
+        ('{"cycle": 3, "count": 1}', '[0, "1", 3]'),
+        ('{"cycle": 3, "count": 1}', "[0, true, 3]"),
+        ('{"cycle": 3, "count": 1}', "[0, 1.0, 3]"),
+        ('{"cycle": 3, "count": true}', "[0, 1, 3]"),
+        ('{"cycle": 3.0, "count": 1}', "[0, 1, 3]"),
+        ('{"cycle": 3, "count": 1}, {"cycle": 4, "count": false}', "[0, 1, 3]"),
+        ('{"cycle": 3, "count": 1}, {"cycle": 4, "count": 0.0}', "[0, 1, 3]"),
+    ],
+)
+def test_json_rejects_values_that_are_not_integers(spec, vane):
+    # each of these read as the graceful (0, 1, 3) while labels were coerced
+    text = f'{{"spec": [{spec}], "mode": "graceful", "vanes": [{vane}]}}'
+    with pytest.raises(MalformedLabelling):
+        from_json(text)
+    good = '{"spec": [{"cycle": 3, "count": 1}, {"cycle": 4, "count": 0}], "mode": "graceful", "vanes": [[0, 1, 3]]}'
+    assert verify(from_json(good)).ok
 
 
 def test_dot_export():
