@@ -124,11 +124,15 @@ def _parse_range(text: str) -> range:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return range(int(lo), int(hi) + 1)
-        value = int(text)
-        return range(value, value + 1)
+            values = range(int(lo), int(hi) + 1)
+        else:
+            value = int(text)
+            values = range(value, value + 1)
     except ValueError as exc:
         raise MalformedLabelling(f"bad range {text!r}") from exc
+    if not values:
+        raise MalformedLabelling(f"empty range {text!r}")
+    return values
 
 
 def _reject_unread(args, reader: str, *names: str) -> None:

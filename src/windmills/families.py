@@ -136,8 +136,37 @@ def _square_shift(t: int, s: int) -> int:
     return 4 * s + t + (2 if t <= 3 else 0)
 
 
-def _ext_bounds_hold(t: int, k: int, s: int) -> bool:
-    return 2 * k + 2 <= _square_shift(t, s) <= 6 * k - 5
+def _extension_k(t: int, s: int) -> int | None:
+    """The smallest k that grafts 4k-1 squares onto a C3^t base to give s.
+
+    The base has s_base = s-4k+1 squares and, with a = _square_shift(t, 0),
+    the square shift c = 4*s_base + a = 4s-16k+4+a.  So ``extend_c3c4``'s
+    interval 2k+2 <= c <= 6k-5 together with s_base >= 1 reads
+
+        ceil((4s+9+a)/22) <= k <= min(s//4, (4s+2+a)//18),
+
+    and the smallest k is the lower end, or None when the range is empty.
+
+    Coverage lemma: every C3^t C4^s with t >= 1, s >= 0 has a rule.
+    Write p = 4s+9+a and q = 4s+2+a.  Since ceil(p/22) <= (p+21)/22,
+    floor(q/18) >= (q-17)/18 and floor(s/4) >= (s-3)/4, a k exists whenever
+
+        18(p+21) <= 22(q-17), that is 8s+2a >= 435, and
+        4(p+21) <= 22(s-3),   that is 3s >= 93+2a.
+
+    Both rise with s; the first rises and the second falls with a, and
+    t <= a <= 3t.  At t >= 29 and s >= 3t+2 the first is at least
+    26t+16 >= 435 and the second 3s-93-6t >= 3t-87 >= 0; at t <= 28 and
+    s >= 87 (so a <= 84) both hold too.  For t >= 4 the direct rules cover
+    0 <= s <= 3t+1.  A finite scan of the other cells with t <= 28, s <= 86
+    finds no k only at t <= 9 and t = 12 with s <= 39; the composite rules
+    cover those cells when t >= 4, and catalogued bases or gap fixtures
+    when t <= 3.  Since s_base < s, induction on s covers every
+    extension's base.  ``tests/test_families.py`` checks each step.
+    """
+    a = _square_shift(t, 0)
+    k = -(-(4 * s + 9 + a) // 22)
+    return k if k <= min(s // 4, (4 * s + 2 + a) // 18) else None
 
 
 def extend_c3c4(base: Labelling, k: int) -> Labelling:
@@ -158,12 +187,12 @@ def extend_c3c4(base: Labelling, k: int) -> Labelling:
     s = base.spec.count_of(4)
     if t < 1:
         raise BoundViolation("the extension needs at least one triangle")
-    if not _ext_bounds_hold(t, k, s):
+    c = _square_shift(t, s)
+    if not 2 * k + 2 <= c <= 6 * k - 5:
         raise BoundViolation(f"(t={t}, s={s}, k={k}) outside the case-{t % 4 + 1} interval")
     if base.mode != expected_mode(base.spec):
         raise MalformedLabelling(f"case {t % 4 + 1} needs a {expected_mode(base.spec)} base")
 
-    c = _square_shift(t, s)
     block = gen_twofold_langford(k)
     for vane in base.vanes:
         for u, v in zip(vane, vane[1:] + vane[:1]):
@@ -272,11 +301,9 @@ def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | Non
         composite = _composite_rule(t, s)
         if composite is not None:
             return composite
-    # the smallest k whose interval admits a base of s - 4k + 1 >= 1 squares
-    for k in range(1, s // 4 + 1):
-        s_base = s - 4 * k + 1
-        if _ext_bounds_hold(t, k, s_base):
-            return f"extension-case{t % 4 + 1}", {"t": t, "s": s, "k": k, "s_base": s_base}
+    k = _extension_k(t, s)
+    if k is not None:
+        return f"extension-case{t % 4 + 1}", {"t": t, "s": s, "k": k, "s_base": s - 4 * k + 1}
     if _load_gap_fixture(t, s) is not None:
         return "gap-fixture", {"t": t, "s": s}
     return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, wraps
 
 from .errors import (
     HookedOperand,
@@ -755,12 +755,12 @@ def _require_defect(tag: str, defect: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
     """A Langford sequence with defect d and order l.
 
     Orders 2d-1 come from the closed-form table.  Larger admissible orders are
-    found by ``_search_pairs``; the first solution is cached.
+    found by ``_search_pairs``; the first solution is memoised.
     """
     if not exists("langford", order=l, defect=d):
         raise NoSuchSequence(f"no Langford sequence with defect {d} and order {l}")

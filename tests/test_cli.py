@@ -247,7 +247,7 @@ def test_oracle_negative_names_the_max_label_cut(capsys):
 
 def test_label_search_budget_exit(capsys, monkeypatch):
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
-    sequences.langford_sequence.cache_clear()
+    sequences.langford_sequence.memo.clear()
     code, _, err = run(capsys, "label", "--graph", "c3=24,c5=8")
     assert code == 4 and "SearchBudgetExhausted" in err
 
@@ -303,3 +303,7 @@ def test_sweep_bad_range(capsys):
     code, out, err = run(capsys, "sweep", "--t", "x", "--s", "0..1")
     assert code == 3 and out == ""
     assert err == "error: bad range 'x'\n"
+    # an empty range would check nothing, yet exit 0
+    code, out, err = run(capsys, "sweep", "--t", "3..1", "--s", "0..2")
+    assert code == 3 and out == ""
+    assert err == "error: empty range '3..1'\n"

@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windmills import sequences
 from windmills.errors import (
@@ -20,7 +21,11 @@ from windmills.families import (
     RULES,
     ConstructionTrace,
     _BASE_CASE_RANGE,
-    _ext_bounds_hold,
+    _base_case_available,
+    _c3c4_rule,
+    _composite_rule,
+    _extension_k,
+    _load_gap_fixture,
     _square_shift,
     base_case_c3c4,
     coverage_audit,
@@ -235,9 +240,185 @@ def test_extension_rule_matches_the_papers_four_cases():
                 # the catalogued bases keep only the paper's tail triangles above c
                 above = sorted(sorted(v) for v in base_case_c3c4(t, s).vanes if max(v) > c)
                 assert above == sorted([0, top + a, top + b] for a, b in offsets), (t, s)
-            for k in range(1, 61):
-                paper = 2 * k + lo - 12 * w <= 4 * s <= 6 * k + hi - 12 * w
-                assert _ext_bounds_hold(t, k, s) == paper, (t, s, k)
+            # the closed-form k is the smallest k whose base of s - 4k + 1 >= 1
+            # squares lies in the paper's interval
+            paper = [
+                k
+                for k in range(1, s // 4 + 1)
+                if 2 * k + lo - 12 * w <= 4 * (s - 4 * k + 1) <= 6 * k + hi - 12 * w
+            ]
+            assert _extension_k(t, s) == (paper[0] if paper else None), (t, s)
+
+
+def test_extend_accepts_exactly_the_papers_interval():
+    # t = 0, 1 (mod 4): the shift is the base's top label, so no edge crosses it
+    for t in (4, 5, 8, 9):
+        (lo, hi), _, _ = PAPER_EXTENSION_CASES[t % 4 + 1]
+        w = t // 4
+        for s in range(1, 7):
+            base, _ = label_c3c4(t, s)
+            for k in range(1, 13):
+                if 2 * k + lo - 12 * w <= 4 * s <= 6 * k + hi - 12 * w:
+                    assert verify(extend_c3c4(base, k)).ok, (t, s, k)
+                else:
+                    with pytest.raises(BoundViolation):
+                        extend_c3c4(base, k)
+
+
+# -- the closed-form k and the coverage lemma -----------------------------------
+
+
+def scanning_c3c4_rule(t, s, straddle=False):
+    """The rule function as it was before k had a closed form: a scan over k."""
+    if t < 1 or s < 0:
+        return None
+    if s == 0:
+        return "triangles-only", {"t": t}
+    if t <= 3 and (straddle or s > t) and _base_case_available(t, s):
+        return "base-case", {"t": t, "s": s}
+    if s <= t:
+        return "twofold-direct", {"t": t, "s": s, "c_squares": t, "c_triangles": 4 * s + t}
+    if t >= 4:
+        if s <= 2 * t:
+            return "twofold-parity", {"t": t, "s": s, "table": "odd" if s % 2 else "even"}
+        if s == 2 * t + 1:
+            return "langford-block", {"t": t, "s": s, "defect": t + 1}
+        if s <= 3 * t + 1:
+            params = {"t": t, "s": s, "defect": t + 1, "k": s - (2 * t + 1)}
+            return "langford-plus-twofold", params
+        composite = _composite_rule(t, s)
+        if composite is not None:
+            return composite
+    # the smallest k whose interval admits a base of s - 4k + 1 >= 1 squares
+    for k in range(1, s // 4 + 1):
+        s_base = s - 4 * k + 1
+        if 2 * k + 2 <= _square_shift(t, s_base) <= 6 * k - 5:
+            return f"extension-case{t % 4 + 1}", {"t": t, "s": s, "k": k, "s_base": s_base}
+    if _load_gap_fixture(t, s) is not None:
+        return "gap-fixture", {"t": t, "s": s}
+    return None
+
+
+def test_closed_form_k_matches_the_scan():
+    for t in range(1, 61):
+        for s in range(0, 601):
+            for straddle in (False, True) if t <= 3 else (False,):
+                want = scanning_c3c4_rule(t, s, straddle)
+                assert _c3c4_rule(t, s, straddle) == want, (t, s, straddle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4000), st.integers(0, 20000), st.booleans())
+def test_closed_form_k_matches_the_scan_at_scale(t, s, straddle):
+    assert _c3c4_rule(t, s, straddle) == scanning_c3c4_rule(t, s, straddle)
+
+
+def affine(f):
+    """The constant and the slopes of an affine f(u, v), read off three points."""
+    c = f(0, 0)
+    return c, f(1, 0) - c, f(0, 1) - c
+
+
+# The lemma's sufficient conditions for some k, as functions of s and a.
+def wide_enough(s, a):  # 18(p+21) <= 22(q-17)
+    return 8 * s + 2 * a - 435
+
+
+def long_enough(s, a):  # 4(p+21) <= 22(s-3)
+    return 3 * s - 93 - 2 * a
+
+
+def test_lemma_conditions_hold_past_the_corners():
+    # wide_enough rises with a and long_enough falls, so for t <= a <= 3t the
+    # worst a is t for the one and 3t for the other
+    assert affine(wide_enough)[1:] == (8, 2)
+    assert affine(long_enough)[1:] == (3, -2)
+    # t = 29 + u, s = 3t + 2 + v with u, v >= 0
+    for cond, a_per_t in ((wide_enough, 1), (long_enough, 3)):
+        f = affine(lambda u, v: cond(3 * (29 + u) + 2 + v, a_per_t * (29 + u)))
+        assert min(f) >= 0, (cond.__name__, f)
+    # t <= 28, so 1 <= a <= 84, and s = 87 + v with v >= 0
+    for cond, a in ((wide_enough, 1), (long_enough, 84)):
+        f = affine(lambda u, v: cond(87 + v, a))
+        assert min(f) >= 0, (cond.__name__, f)
+
+
+@given(st.integers(1, 10**6))
+def test_square_shift_offset_lies_between_t_and_3t(t):
+    assert t <= _square_shift(t, 0) <= 3 * t
+    assert _square_shift(t, 17) == 4 * 17 + _square_shift(t, 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10**6), st.integers(0, 10**7))
+def test_lemma_conditions_give_a_k(t, s):
+    a = _square_shift(t, 0)
+    if wide_enough(s, a) >= 0 and long_enough(s, a) >= 0:
+        k = _extension_k(t, s)
+        assert k is not None
+        assert 2 * k + 2 <= _square_shift(t, s - 4 * k + 1) <= 6 * k - 5 and 4 * k <= s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 10**6), st.data())
+def test_direct_rules_cover_up_to_3t_plus_1(t, data):
+    s = data.draw(st.integers(0, 3 * t + 1))
+    rule, _ = _c3c4_rule(t, s)
+    assert not rule.startswith("extension-case") and rule != "gap-fixture"
+
+
+def test_lemma_finite_scan():
+    # the cells that neither a direct rule nor the lemma's conditions cover
+    no_k = []
+    for t in range(1, 29):
+        for s in range(1 if t <= 3 else 3 * t + 2, 87):
+            if _extension_k(t, s) is None:
+                no_k.append((t, s))
+    assert {t for t, _ in no_k} == set(range(1, 10)) | {12}
+    assert max(s for _, s in no_k) == 39
+    for t, s in no_k:
+        rule, _ = _c3c4_rule(t, s)
+        if t >= 4:
+            assert rule.startswith("composite-"), (t, s, rule)
+        else:
+            assert rule in ("base-case", "twofold-direct", "gap-fixture"), (t, s, rule)
+    gaps = sorted(cell for cell, rule in coverage_audit(28, 86).items() if rule == GAP)
+    assert gaps == EXPECTED_GAPS
+
+
+def test_small_audit_cells_label_and_replay():
+    grid = coverage_audit(12, 39)
+    assert sorted(cell for cell, rule in grid.items() if rule == GAP) == EXPECTED_GAPS
+    for t, s in grid:
+        lab, trace = label_c3c4(t, s)
+        assert verify(lab).ok and replay(trace), (t, s)
+
+
+# -- the graft lemma --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [6, 7, 10, 11])
+def test_graft_split_at_4s_plus_t(t):
+    # every base edge across the shift 4s + t then has a label above it
+    for s in range(1, 121):
+        lab, _ = label_c3c4(t, s)
+        for vane in lab.vanes:
+            top = 4 * s + t
+            if len(vane) == 4:
+                assert max(vane[1:]) <= top, (t, s, vane)
+            else:
+                assert min(vane[1:]) > top, (t, s, vane)
+
+
+def test_catalogued_bases_cross_the_shift_only_above_it():
+    for t in (2, 3):
+        for s in _BASE_CASE_RANGE[t]:
+            c = _square_shift(t, s)
+            assert c == 4 * s + t + 2
+            for vane in base_case_c3c4(t, s).vanes:
+                for u, v in zip(vane, vane[1:] + vane[:1]):
+                    if min(u, v) <= c < max(u, v):
+                        assert abs(u - v) > c, (t, s, vane)
 
 
 @pytest.mark.parametrize(
@@ -480,7 +661,7 @@ def test_straddled_langford_base_trace():
 def test_c3c4_needs_no_search(monkeypatch):
     # with no placements allowed, any construction search would raise
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 0)
-    sequences.langford_sequence.cache_clear()
+    sequences.langford_sequence.memo.clear()
     cells = [(6, 60), (7, 70), (10, 90), (11, 95), (22, 200), (27, 200), (43, 300), (90, 700)]
     for t, s in cells:
         lab, trace = label_c3c4(t, s)

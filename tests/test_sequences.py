@@ -398,7 +398,7 @@ def test_langford_sequence_search():
 def test_langford_sequence_long_order_split():
     # l >= 8d - 4: the closed-form defect-d head, then a Langford tail of defect
     # 3d - 1 (here again closed form); the search alone finds another sequence
-    langford_sequence.cache_clear()
+    langford_sequence.memo.clear()
     assert langford_sequence(2, 12) == concat(
         [gen_langford_doubledefect(2), gen_langford_doubledefect(5)]
     )
@@ -407,7 +407,7 @@ def test_langford_sequence_long_order_split():
 def test_langford_search_budget(monkeypatch):
     # (9, 24) takes 3,071 placements, so a budget of 100 cuts it off
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
-    langford_sequence.cache_clear()
+    langford_sequence.memo.clear()
     with pytest.raises(SearchBudgetExhausted):
         langford_sequence(9, 24)
 
@@ -455,6 +455,14 @@ MEMOISED = {
     + [((x,), {}) for x in range(1, 4)],
     fixed_small_twofold: [((y,), {}) for y in range(5)],
     gen_twofold_langford: [((k,), {}) for k in range(1, 9)],
+    # searched and split orders: a miss at l = 2d-1 hits gen_langford_doubledefect's
+    # memo and so need not validate, and at d = 1 the split's tails are grid keys
+    langford_sequence: [
+        ((d, l), {})
+        for d in range(2, 6)
+        for l in range(2 * d, 2 * d + 10)
+        if exists("langford", order=l, defect=d)
+    ],
 }
 
 
@@ -504,7 +512,9 @@ def test_memo_remembers_no_errors(cold_memos):
             gen_skolem(2)
         with pytest.raises(OutOfRange):
             gen_power4(-1)
-    assert not gen_skolem.memo and not gen_power4.memo
+        with pytest.raises(NoSuchSequence):
+            langford_sequence(2, 5)
+    assert not gen_skolem.memo and not gen_power4.memo and not langford_sequence.memo
 
 
 def test_memo_keys_are_typed(cold_memos):
