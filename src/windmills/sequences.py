@@ -37,6 +37,9 @@ class SkolemTypeSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Exact ints need no per-entry check; the loop runs only for other types.
+        if set(map(type, self.entries)) <= {int} and min(self.entries, default=0) >= 0:
+            return
         for e in self.entries:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"entries must be non-negative integers, got {e!r}")
@@ -785,7 +788,8 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
 
 
 # Placements one _search_pairs call may make before it gives up.  The largest
-# search the benchmark and the tests run needs about 220,000.
+# search the benchmark and the tests run, langford_sequence(13, 32) for
+# c3=32,c5=12, needs 84,467.
 _SEARCH_NODE_BUDGET = 1_000_000
 
 
@@ -793,53 +797,70 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
     """Place one pair of every symbol so that the pairs tile positions 1..length.
 
     A deterministic backtracking search: it branches on the most constrained
-    empty cell, and tries the largest symbol first, then the leftmost position.
-    Returns the entries of the first tiling found, or None when none exists.
-    Raises SearchBudgetExhausted after ``_SEARCH_NODE_BUDGET`` placements.
+    empty cell (the lowest of those with fewest options), and tries the largest
+    symbol first, then the leftmost position.  Returns the entries of the first
+    tiling found, or None when none exists.  Raises SearchBudgetExhausted after
+    ``_SEARCH_NODE_BUDGET`` placements.
+
+    The state is three int bitmasks: ``free`` has bit ``i`` set while cell
+    ``i+1`` is empty, ``rev`` is its mirror (bit ``top-i``, ``top = length-1``)
+    and ``rem`` has bit ``s`` set while symbol ``s`` is unplaced.  Then
+    ``(free >> i) & rem`` holds the symbols that fit with their left end at
+    cell ``i+1``, and ``(rev >> (top-i)) & rem`` those that fit with their
+    right end there.
     """
+    top = length - 1
     entries = [0] * length
-    remaining = set(symbols)
     nodes = 0
 
-    # Branch on the most constrained empty cell; every unplaced symbol either
-    # covers it or the branch dies, which tames the tight high-defect cases.
-    def fill() -> bool:
+    def fill(free: int, rev: int, rem: int) -> bool:
         nonlocal nodes
-        if not remaining:
+        if not rem:
             return True
-        best_cell = -1
-        best_opts: list[tuple[int, int]] = []
-        for cell in range(1, length + 1):
-            if entries[cell - 1] != 0:
-                continue
-            opts = []
-            for sym in remaining:
-                right = cell + sym
-                if right <= length and entries[right - 1] == 0:
-                    opts.append((sym, cell))
-                left = cell - sym
-                if left >= 1 and entries[left - 1] == 0:
-                    opts.append((sym, left))
-            if not opts:
+        # Every unplaced symbol either covers the chosen cell or the branch
+        # dies, which tames the tight high-defect cases.
+        best = -1
+        best_count = 0
+        scan = free
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            cell = low.bit_length() - 1
+            count = ((free >> cell) & rem).bit_count() + ((rev >> (top - cell)) & rem).bit_count()
+            if not count:
                 return False
-            if best_cell < 0 or len(opts) < len(best_opts):
-                best_cell, best_opts = cell, opts
-                if len(opts) == 1:
+            if best < 0 or count < best_count:
+                best, best_count = cell, count
+                if count == 1:
                     break
-        if best_cell < 0:
-            return not remaining
-        for sym, a in sorted(best_opts, key=lambda t: (-t[0], t[1])):
-            nodes += 1
-            if nodes > _SEARCH_NODE_BUDGET:
-                raise SearchBudgetExhausted(
-                    f"pair search on {length} cells passed {_SEARCH_NODE_BUDGET} placements"
-                )
-            entries[a - 1] = entries[a + sym - 1] = sym
-            remaining.remove(sym)
-            if fill():
-                return True
-            remaining.add(sym)
-            entries[a - 1] = entries[a + sym - 1] = 0
+        if best < 0:  # symbols are left but no cell is empty
+            return False
+        as_left = (free >> best) & rem
+        as_right = (rev >> (top - best)) & rem
+        options = as_left | as_right
+        while options:
+            sym = options.bit_length() - 1
+            bit = 1 << sym
+            options ^= bit
+            for a, fits in ((best - sym, as_right), (best, as_left)):
+                if not fits & bit:
+                    continue
+                nodes += 1
+                if nodes > _SEARCH_NODE_BUDGET:
+                    raise SearchBudgetExhausted(
+                        f"pair search on {length} cells passed {_SEARCH_NODE_BUDGET} placements"
+                    )
+                b = a + sym
+                entries[a] = entries[b] = sym
+                cells = (1 << a) | (1 << b)
+                mirror = (1 << (top - a)) | (1 << (top - b))
+                if fill(free & ~cells, rev & ~mirror, rem & ~bit):
+                    return True
+                entries[a] = entries[b] = 0
         return False
 
-    return tuple(entries) if fill() else None
+    rem = 0
+    for sym in symbols:
+        rem |= 1 << sym
+    full = (1 << length) - 1
+    return tuple(entries) if fill(full, full, rem) else None

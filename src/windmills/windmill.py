@@ -112,9 +112,13 @@ class Labelling:
             raise MalformedLabelling(
                 f"vane lengths {dict(lengths)} do not match spec {dict(expected)}"
             )
+        # Exact ints need no per-label check; the loop runs only for other types.
+        all_int = set(map(type, chain.from_iterable(self.vanes))) <= {int}
         for vane in self.vanes:
             if not vane or vane[0] != 0:
                 raise MalformedLabelling(f"vane {vane} must start at the central 0")
+            if all_int:
+                continue
             for label in vane:
                 if not _is_int(label):
                     raise MalformedLabelling(f"non-integer label in {vane}")

@@ -1,3 +1,6 @@
+import hashlib
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -412,6 +415,136 @@ def test_langford_search_budget(monkeypatch):
         langford_sequence(9, 24)
 
 
+def reference_search_pairs(symbols, length):
+    """The list-scanning pair search that ``_search_pairs`` replaced, kept as a reference."""
+    entries = [0] * length
+    remaining = set(symbols)
+    nodes = 0
+
+    def fill():
+        nonlocal nodes
+        if not remaining:
+            return True
+        best_cell = -1
+        best_opts = []
+        for cell in range(1, length + 1):
+            if entries[cell - 1] != 0:
+                continue
+            opts = []
+            for sym in remaining:
+                right = cell + sym
+                if right <= length and entries[right - 1] == 0:
+                    opts.append((sym, cell))
+                left = cell - sym
+                if left >= 1 and entries[left - 1] == 0:
+                    opts.append((sym, left))
+            if not opts:
+                return False
+            if best_cell < 0 or len(opts) < len(best_opts):
+                best_cell, best_opts = cell, opts
+                if len(opts) == 1:
+                    break
+        if best_cell < 0:
+            return not remaining
+        for sym, a in sorted(best_opts, key=lambda t: (-t[0], t[1])):
+            nodes += 1
+            budget = sequences._SEARCH_NODE_BUDGET
+            if nodes > budget:
+                raise SearchBudgetExhausted(
+                    f"pair search on {length} cells passed {budget} placements"
+                )
+            entries[a - 1] = entries[a + sym - 1] = sym
+            remaining.remove(sym)
+            if fill():
+                return True
+            remaining.add(sym)
+            entries[a - 1] = entries[a + sym - 1] = 0
+        return False
+
+    return tuple(entries) if fill() else None
+
+
+def search_outcome(search, symbols, length):
+    try:
+        return search(symbols, length)
+    except SearchBudgetExhausted as exc:
+        return str(exc)
+
+
+def test_search_pairs_matches_reference_on_langford_grid(monkeypatch):
+    # every (d, l) near the closed-form order, admissible or not; the budget is
+    # cut on both sides so that the inadmissible cells end quickly, some with an
+    # exhaustive None and some with the budget error
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 4_000)
+    outcomes = set()
+    for d in range(1, 9):
+        for l in range(2 * d - 1, 2 * d + 9):
+            want = search_outcome(reference_search_pairs, range(d, d + l), 2 * l)
+            got = search_outcome(sequences._search_pairs, range(d, d + l), 2 * l)
+            assert got == want, (d, l)
+            outcomes.add(type(got))
+            if exists("langford", order=l, defect=d):
+                assert validate(SkolemTypeSequence(got), SequenceKind("langford", defect=d)).ok
+    assert outcomes == {tuple, type(None), str}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.integers(min_value=1, max_value=18), max_size=8),
+    st.one_of(st.integers(min_value=0, max_value=40), st.just(sequences._SEARCH_NODE_BUDGET)),
+)
+def test_search_pairs_matches_reference_on_random_symbol_sets(symbols, budget):
+    # a small budget makes the outcome depend on the node count as well
+    length = 2 * len(symbols)
+    with mock.patch.object(sequences, "_SEARCH_NODE_BUDGET", budget):
+        want = search_outcome(reference_search_pairs, symbols, length)
+        assert search_outcome(sequences._search_pairs, symbols, length) == want
+
+
+@pytest.mark.parametrize("budget", [0, 1, 7, 100])
+def test_search_pairs_matches_reference_under_a_budget(monkeypatch, budget):
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", budget)
+    for symbols, length in (
+        ((), 0),
+        ((1,), 2),
+        (range(1, 5), 8),
+        (range(2, 9), 14),
+        (range(3, 8), 10),  # no tiling
+        ((1, 4, 5, 6), 8),  # 8 placements; trying i before i-s takes 6
+        ((1, 3, 6, 7, 8), 10),
+        (range(3, 12), 18),
+        (range(5, 17), 24),
+    ):
+        want = search_outcome(reference_search_pairs, symbols, length)
+        assert search_outcome(sequences._search_pairs, symbols, length) == want
+
+
+def test_search_pairs_node_count_pinned(monkeypatch):
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 3_071)
+    assert validate(
+        SkolemTypeSequence(sequences._search_pairs(range(9, 33), 48)),
+        SequenceKind("langford", defect=9),
+    ).ok
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 3_070)
+    with pytest.raises(SearchBudgetExhausted, match="pair search on 48 cells passed 3070 placements"):
+        sequences._search_pairs(range(9, 33), 48)
+
+
+@pytest.mark.parametrize(
+    "d, l, digest",
+    [
+        (13, 32, "6d4d1ba4b2e74cdd50c0d641d4c4746af973a6c6b459909251792ca30e8a9ba9"),
+        (14, 28, "518552955f5d637118d3ca7e40f2934285e8d05984f8d894963312ef3fec659d"),
+        (15, 36, "5775742fd8ba5fdeb03843b8c4cb1358fd947ade12b7178841178be54969aa0d"),
+    ],
+)
+def test_langford_search_entries_pinned(d, l, digest):
+    # the three longest searches of label_c3c5's benchmark cells (c3=l, c5=d-1)
+    langford_sequence.memo.clear()
+    entries = langford_sequence(d, l).to_text().encode()
+    assert hashlib.sha256(entries).hexdigest() == digest
+
+
 def test_parse_sequence_roundtrip():
     s = parse_sequence("3,1,1,3,2,0,2")
     assert s.to_text() == "3,1,1,3,2,0,2"
@@ -424,6 +557,24 @@ def test_fragment_validation():
     kind = SequenceKind("two-fold-skolem-type", symbols=trimmed.symbol_set)
     assert validate(trimmed, kind, fragment=True).ok
     assert not validate(trimmed, kind).ok
+
+
+class Sub(int):
+    """An int subclass other than bool, which every integer check accepts."""
+
+
+def test_entries_type_check_fast_path_keeps_the_per_entry_rules():
+    assert SkolemTypeSequence((Sub(1), 1)).entries == (1, 1)
+    assert SkolemTypeSequence(()).entries == ()
+    for entries, bad in (
+        ((1, 1, True), True),
+        ((1.0, 1), 1.0),
+        ((1, -1, 2.5), -1),
+        ((2, 0, -1), -1),
+        ((Sub(-3), 1), -3),
+    ):
+        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+            SkolemTypeSequence(entries)
 
 
 def test_type_and_kind_guards():

@@ -148,6 +148,25 @@ def test_labelling_structural_checks():
             Labelling(spec, ((0, bad, 3),), GRACEFUL)
 
 
+class Sub(int):
+    """An int subclass other than bool, which every integer check accepts."""
+
+
+def test_labelling_type_check_fast_path_keeps_the_per_label_rules():
+    assert verify(Labelling(WindmillSpec.of((3, 1)), ((0, Sub(1), Sub(3)),), GRACEFUL)).ok
+    spec = WindmillSpec.of((3, 2))
+    for vanes, message in (
+        (((0, True, 3), (0, 4, 6)), r"non-integer label in \(0, True, 3\)"),
+        (((0, 1, 3), (0, 4, 6.0)), r"non-integer label in \(0, 4, 6.0\)"),
+        # the first vane's label is reported before the second vane's start
+        (((0, 1.5, 3), (1, 4, 6)), r"non-integer label in \(0, 1.5, 3\)"),
+        (((0, 1, 3), (1, 4, 6.0)), r"vane \(1, 4, 6.0\) must start at the central 0"),
+        (((0, 1, 3), (1, 4, 6)), r"vane \(1, 4, 6\) must start at the central 0"),
+    ):
+        with pytest.raises(MalformedLabelling, match=message):
+            Labelling(spec, vanes, GRACEFUL)
+
+
 def test_verifier_total_on_weird_labels():
     # verification reports rather than crashes on wild but well-shaped input
     lab = Labelling(WindmillSpec.of((3, 1)), ((0, 1000, 3),), GRACEFUL)
