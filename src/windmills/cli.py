@@ -266,15 +266,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    grid = families.coverage_audit(args.t_max, args.s_max)
+    cells = families.coverage_audit(args.t_max, args.s_max)
     if args.csv:
         print("t,s,rule")
-        for (t, s), rule in sorted(grid.items()):
+        for (t, s), rule in cells:
             print(f"{t},{s},{rule}")
     else:
-        gaps = sorted(cell for cell, rule in grid.items() if rule == families.GAP)
-        for (t, s), rule in sorted(grid.items()):
+        gaps = []
+        for (t, s), rule in cells:
             print(f"t={t} s={s}: {rule}")
+            if rule == families.GAP:
+                gaps.append((t, s))
         print(f"{len(gaps)} gap cells: {gaps}")
     return EXIT_OK
 

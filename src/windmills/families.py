@@ -1,15 +1,16 @@
 """Family-level dispatchers: label a whole windmill from sequence machinery.
 
 Each public ``label_*`` routine picks sequences, shifts and compositions for
-one windmill family and returns a verified labelling.  The triangle/square
-dispatcher additionally reports a construction trace naming the rule it used.
-The dispatcher, ``replay`` and the coverage audit all read one rule function,
-``_c3c4_rule``, so the rule precedence is written down once.
+one windmill family and returns a verified labelling.  A triangle/square
+cell is planned first: ``_plan_c3c4`` walks the rule function ``_c3c4_rule``
+down the extension bases.  The build, ``replay`` and the coverage audit all
+read that plan, and the plan is the construction trace ``label_c3c4`` returns.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -264,23 +265,14 @@ RULES = frozenset(_SQUARE_BLOCKS) | {
 }
 
 
-def _build_c3c4(t: int, s: int, rule: str, params: dict) -> Labelling:
-    quads = quadruples_from_twofold(_SQUARE_BLOCKS[rule](params), c=t)
-    if len(quads) != s:  # pragma: no cover - arithmetic guarantee
-        raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
-    tris = triples_from_pairs(pairs_of(_triangle_sequence(t)), c=4 * s + t, variant=1)
-    spec = WindmillSpec.of((3, t), (4, s))
-    return _checked(Labelling(spec, tuple(tris) + tuple(quads), expected_mode(spec)))
-
-
 def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | None:
     """The rule covering C3^t C4^s and its trace parameters; None if none does.
 
-    This is the only statement of the rule precedence and its preconditions:
-    the dispatcher builds by it, ``replay`` re-derives it and the coverage
-    audit tabulates it.  ``straddle`` marks the base of an extension at
-    t = 2, 3 (mod 4); at t <= 3 it picks the catalogued rows, whose labels
-    above the square shift are the paper's tail triangles.
+    This is the only statement of the rule precedence and its preconditions;
+    ``_plan_c3c4`` applies it to a cell and to each extension base below it.
+    ``straddle`` marks the base of an extension at t = 2, 3 (mod 4); at
+    t <= 3 it picks the catalogued rows, whose labels above the square shift
+    are the paper's tail triangles.
     """
     if t < 1 or s < 0:
         return None
@@ -309,54 +301,63 @@ def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | Non
     return None
 
 
-def _dispatch_c3c4(t: int, s: int, straddle: bool) -> tuple[Labelling, ConstructionTrace]:
-    if t < 1:
-        raise Unlabellable("windmills without triangle vanes are not covered")
-    if s < 0:
-        raise OutOfRange(f"need s >= 0, got {s}")
+def _plan_c3c4(t: int, s: int, straddle: bool = False) -> ConstructionTrace | None:
+    """The rule tree for C3^t C4^s, or None if a node of it has no rule.
+
+    An extension node has one child, the plan of its base, whose rule is
+    chosen with ``straddle`` set at t = 2, 3 (mod 4).  Nothing is built.
+    """
     found = _c3c4_rule(t, s, straddle)
     if found is None:
-        raise Unlabellable(f"no rule covers C3^{t}C4^{s}")
+        return None
     rule, params = found
-    children: tuple[ConstructionTrace, ...] = ()
+    if not rule.startswith("extension-case"):
+        return ConstructionTrace(rule, params)
+    base = _plan_c3c4(t, params["s_base"], straddle=t % 4 in (2, 3))
+    return None if base is None else ConstructionTrace(rule, params, (base,))
+
+
+def _build_c3c4(plan: ConstructionTrace) -> Labelling:
+    """The labelling a plan describes; an extension builds its base first."""
+    rule, params = plan.rule, plan.parameters
+    t, s = params["t"], params.get("s", 0)
     if rule == "triangles-only":
-        lab = label_c3(t)
-    elif rule == "base-case":
-        lab = base_case_c3c4(t, s)
-    elif rule == "gap-fixture":
-        lab = _load_gap_fixture(t, s)
-    elif rule.startswith("extension-case"):
-        base, base_trace = _dispatch_c3c4(t, params["s_base"], straddle=t % 4 in (2, 3))
-        lab, children = extend_c3c4(base, params["k"]), (base_trace,)
-    else:
-        lab = _build_c3c4(t, s, rule, params)
-    return lab, ConstructionTrace(rule, params, children)
+        return label_c3(t)
+    if rule == "base-case":
+        return base_case_c3c4(t, s)
+    if rule == "gap-fixture":
+        return _load_gap_fixture(t, s)
+    if plan.children:
+        return extend_c3c4(_build_c3c4(plan.children[0]), params["k"])
+    quads = quadruples_from_twofold(_SQUARE_BLOCKS[rule](params), c=t)
+    if len(quads) != s:  # pragma: no cover - arithmetic guarantee
+        raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
+    tris = triples_from_pairs(pairs_of(_triangle_sequence(t)), c=4 * s + t, variant=1)
+    spec = WindmillSpec.of((3, t), (4, s))
+    return _checked(Labelling(spec, tuple(tris) + tuple(quads), expected_mode(spec)))
 
 
 def label_c3c4(t: int, s: int) -> tuple[Labelling, ConstructionTrace]:
-    """Verified labelling of the t-triangle, s-square windmill, with its trace.
+    """Verified labelling of the t-triangle, s-square windmill, with its plan.
 
     Graceful exactly when t = 0, 1 (mod 4).  Rule precedence: direct
     constructions, then catalogued base cases, then the square-block
     extension, then gap fixtures.
     """
-    return _dispatch_c3c4(t, s, straddle=False)
+    if t < 1:
+        raise Unlabellable("windmills without triangle vanes are not covered")
+    if s < 0:
+        raise OutOfRange(f"need s >= 0, got {s}")
+    plan = _plan_c3c4(t, s)
+    if plan is None:
+        raise Unlabellable(f"no rule covers C3^{t}C4^{s}")
+    return _build_c3c4(plan), plan
 
 
 def replay(trace: ConstructionTrace) -> bool:
-    """Re-derive every node's rule and parameters from its cell and compare."""
+    """Whether a trace is the plan of its own cell, every node and parameter."""
     p = trace.parameters
-    return _replay(trace, p["t"], p.get("s", 0), straddle=False)
-
-
-def _replay(trace: ConstructionTrace, t: int, s: int, straddle: bool) -> bool:
-    if _c3c4_rule(t, s, straddle) != (trace.rule, trace.parameters):
-        return False
-    if not trace.rule.startswith("extension-case"):
-        return not trace.children
-    return len(trace.children) == 1 and _replay(
-        trace.children[0], t, trace.parameters["s_base"], straddle=t % 4 in (2, 3)
-    )
+    return trace == _plan_c3c4(p["t"], p.get("s", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -467,31 +468,22 @@ def label_c3c6(t: int, h: int) -> Labelling:
 GAP = "GAP"
 
 
-def coverage_audit(t_max: int, s_max: int) -> dict[tuple[int, int], str]:
-    """Which rule the dispatcher would use per cell; GAP where none applies.
+def coverage_audit(t_max: int, s_max: int) -> Iterator[tuple[tuple[int, int], str]]:
+    """Each cell's ``((t, s), rule)`` in (t, s) order, planned as it is read.
 
-    This reads the dispatcher's rule function only (no labellings are built).
-    Gap-fixture cells count as GAP, and an extension cell counts as covered
-    only if its smallest-k base cell is covered or has a gap fixture.
+    Bounds are checked at the call; no labellings are built.  A cell is GAP
+    when it has no plan or its plan is a gap fixture.
     """
     if t_max < 1 or s_max < 1:
         raise OutOfRange("audit bounds must be >= 1")
-    grid: dict[tuple[int, int], str] = {}
-    for t in range(1, t_max + 1):
-        for s in range(0, s_max + 1):
-            grid[(t, s)] = _audit_cell(t, s, grid)
-    return grid
+    return (
+        ((t, s), _audit_rule(_plan_c3c4(t, s)))
+        for t in range(1, t_max + 1)
+        for s in range(0, s_max + 1)
+    )
 
 
-def _audit_cell(t: int, s: int, grid: dict[tuple[int, int], str]) -> str:
-    """One cell's audit label; ``grid`` already holds the cells (t, s' < s)."""
-    found = _c3c4_rule(t, s)
-    if found is None or found[0] == "gap-fixture":
+def _audit_rule(plan: ConstructionTrace | None) -> str:
+    if plan is None or plan.rule == "gap-fixture":
         return GAP
-    rule, params = found
-    if not rule.startswith("extension-case"):
-        return rule
-    s_base = params["s_base"]
-    if grid[(t, s_base)] != GAP or _load_gap_fixture(t, s_base) is not None:
-        return "extension"
-    return GAP
+    return "extension" if plan.children else plan.rule

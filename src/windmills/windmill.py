@@ -81,6 +81,8 @@ class WindmillSpec:
                 raise MalformedLabelling(f"bad graph spec component {part!r}") from exc
             if not key.lower().startswith("c") or length not in (3, 4, 5, 6):
                 raise MalformedLabelling(f"unsupported cycle length in {part!r}")
+            if count < 0:
+                raise MalformedLabelling(f"negative vane count in {part!r}")
             if count > 0:
                 groups.append((length, count))
         if not groups:

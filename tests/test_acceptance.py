@@ -295,7 +295,7 @@ def test_criterion_7_oracle_cross_checks():
 
 def test_criterion_8_coverage_audit_and_gap_fixtures():
     start = time.perf_counter()
-    grid = coverage_audit(3, 30)
+    grid = dict(coverage_audit(3, 30))
     gaps = sorted(cell for cell, rule in grid.items() if rule == GAP)
     assert gaps == EXPECTED_GAPS, gaps
     for t, s in gaps:

@@ -122,6 +122,19 @@ def test_label_unsupported(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("graph", ["c3=4,c4=-3", "c3=-1,c4=2"])
+def test_label_negative_count_rejected(capsys, graph):
+    code, out, err = run(capsys, "label", "--graph", graph)
+    assert (code, out) == (3, "")
+    assert "negative vane count" in err
+
+
+def test_oracle_negative_count_rejected(capsys):
+    code, out, err = run(capsys, "oracle", "--graph", "c3=2,c4=-1", "--mode", "graceful")
+    assert (code, out) == (3, "")
+    assert "negative vane count" in err
+
+
 def test_verify_failure_exit_code(capsys, tmp_path):
     bad = {
         "spec": [{"cycle": 3, "count": 1}],
@@ -288,6 +301,12 @@ def test_audit_text(capsys):
         "t=1 s=2: base-case",
         "0 gap cells: []",
     ]
+
+
+def test_audit_bad_bounds_print_nothing(capsys):
+    code, out, err = run(capsys, "audit", "--t-max", "0", "--s-max", "5", "--csv")
+    assert (code, out) == (2, "")
+    assert "OutOfRange" in err
 
 
 def test_sweep_text(capsys):

@@ -1,13 +1,14 @@
 import hashlib
 import random
 import signal
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windmills import sequences
+from windmills import assemble, families, sequences
 from windmills.errors import (
     BoundViolation,
     MissingRequiredTriangle,
@@ -382,12 +383,12 @@ def test_lemma_finite_scan():
             assert rule.startswith("composite-"), (t, s, rule)
         else:
             assert rule in ("base-case", "twofold-direct", "gap-fixture"), (t, s, rule)
-    gaps = sorted(cell for cell, rule in coverage_audit(28, 86).items() if rule == GAP)
+    gaps = sorted(cell for cell, rule in dict(coverage_audit(28, 86)).items() if rule == GAP)
     assert gaps == EXPECTED_GAPS
 
 
 def test_small_audit_cells_label_and_replay():
-    grid = coverage_audit(12, 39)
+    grid = dict(coverage_audit(12, 39))
     assert sorted(cell for cell, rule in grid.items() if rule == GAP) == EXPECTED_GAPS
     for t, s in grid:
         lab, trace = label_c3c4(t, s)
@@ -622,19 +623,34 @@ def test_large_cells_build_and_verify_within_5s(cell):
 
 
 def test_coverage_audit_expected_gaps():
-    grid = coverage_audit(3, 30)
+    grid = dict(coverage_audit(3, 30))
     gaps = sorted(cell for cell, rule in grid.items() if rule == GAP)
     assert gaps == EXPECTED_GAPS
     assert grid[(1, 8)] == "base-case"
     assert grid[(3, 22)] == "extension"
 
 
+def test_coverage_audit_streams_its_cells():
+    # a dict of these 20,020 cells peaks at about 2.2 MB under tracemalloc;
+    # the stream holds one cell's plan at a time
+    tracemalloc.start()
+    try:
+        cells = coverage_audit(20, 1000)
+        first = next(cells)
+        count = 1 + sum(1 for _ in cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == ((1, 0), "triangles-only") and count == 20 * 1001
+    assert peak < 200_000, peak
+
+
 def test_coverage_audit_matches_dispatch_rules():
-    assert coverage_audit(10, 12)[(10, 10)] == "twofold-direct"
+    assert dict(coverage_audit(10, 12))[(10, 10)] == "twofold-direct"
     # (3, 110) holds the straddled base-case cells such as (3, 22) and the
     # cells whose smallest-k base is a gap fixture such as (1, 84), (3, 79)
     for t_max, s_max in [(10, 12), (3, 110)]:
-        for (t, s), rule in coverage_audit(t_max, s_max).items():
+        for (t, s), rule in dict(coverage_audit(t_max, s_max)).items():
             lab, trace = label_c3c4(t, s)
             assert replay(trace), (t, s)
             if rule == "extension":
@@ -685,18 +701,42 @@ def _c3c4_digest(t, s):
     return hashlib.sha256((to_json(lab) + "\n" + trace.format()).encode()).digest()
 
 
-def test_warm_generator_memo_changes_no_c3c4_output():
-    # every cell built with each generator memo cleared first (all misses),
-    # then the grid again in a shuffled order with the memos warm (mostly hits)
+# sha256 over the per-cell digests of every t <= 40, s <= 250 in (t, s) order,
+# each cell labelled with every generator memo cleared first (all misses)
+COLD_C3C4_GRID = "3c26bb25a733a71cc99f9f2190879adbe2a8b25fd5f8817b72c63e35b6916a2e"
+
+
+def test_warm_generator_memo_changes_no_c3c4_output(monkeypatch):
+    # the grid in a shuffled order with the memos warm (mostly hits) gives the
+    # cold grid's digest, and every sequence a memoised generator returned on
+    # the way equals its uncached result for the same arguments
+    returned = {gen: {} for gen in _MEMOISED}
+
+    def recording(gen):
+        def call(*args, **kwargs):
+            seq = gen(*args, **kwargs)
+            key = (args, tuple(sorted(kwargs.items())))
+            assert returned[gen].setdefault(key, seq.entries) == seq.entries, key
+            return seq
+
+        return call
+
+    for gen in _MEMOISED:
+        for module in (assemble, families, sequences):
+            if getattr(module, gen.__name__, None) is gen:
+                monkeypatch.setattr(module, gen.__name__, recording(gen))
     cells = [(t, s) for t in range(1, 41) for s in range(0, 251)]
-    cold = {}
-    for cell in cells:
-        for gen in _MEMOISED:
-            gen.memo.clear()
-        cold[cell] = _c3c4_digest(*cell)
     random.Random(10).shuffle(cells)
-    for cell in cells:
-        assert _c3c4_digest(*cell) == cold[cell], cell
+    warm = {cell: _c3c4_digest(*cell) for cell in cells}
+    monkeypatch.undo()
+    grid = hashlib.sha256(b"".join(warm[cell] for cell in sorted(warm)))
+    assert grid.hexdigest() == COLD_C3C4_GRID
+    for gen, calls in returned.items():
+        for args, kwargs in calls:
+            for memoised in _MEMOISED:
+                memoised.memo.clear()
+            cold = gen.__wrapped__(*args, **dict(kwargs)).entries
+            assert cold == calls[args, kwargs], (gen.__name__, args, kwargs)
 
 
 def test_extension_cells_beyond_t_60():
@@ -752,6 +792,8 @@ def test_parameter_guards():
         label_c3c4(3, -1)
     with pytest.raises(OutOfRange):
         coverage_audit(0, 5)
+    with pytest.raises(OutOfRange):
+        coverage_audit(5, 0)  # at the call, before any cell is read
     with pytest.raises(OutOfRange):
         label_c3(0)
     with pytest.raises(OutOfRange):

@@ -61,6 +61,18 @@ def test_spec_parse():
         WindmillSpec.parse("nonsense")
 
 
+@pytest.mark.parametrize("text", ["c3=4,c4=-3", "c3=-1,c4=2", "c3=2,c4=-1", "c5=-1"])
+def test_spec_parse_rejects_negative_counts(text):
+    with pytest.raises(MalformedLabelling, match="negative vane count"):
+        WindmillSpec.parse(text)
+
+
+def test_spec_parse_zero_count_means_no_vanes():
+    assert WindmillSpec.parse("c3=4,c4=0") == WindmillSpec.parse("c3=4")
+    with pytest.raises(MalformedLabelling, match="empty graph spec"):
+        WindmillSpec.parse("c3=0,c4=0")
+
+
 def test_verify_figure_labelling():
     report = verify(FIGURE_STYLE)
     assert report.ok and report.m == 24
