@@ -18,7 +18,6 @@ from .errors import (
     ShiftTooSmall,
 )
 from .sequences import (
-    PairSet,
     SkolemTypeSequence,
     gen_hooked_skolem,
     gen_near_skolem_topdefect,
@@ -29,28 +28,31 @@ from .sequences import (
 Triple = tuple[int, int, int]
 
 
-def triples_from_pairs(pairs: PairSet, c: int, variant: int) -> list[Triple]:
-    """Triangle vanes from fold-1 pairs, one per symbol in increasing order.
+def triples_from_pairs(seq: SkolemTypeSequence, c: int, variant: int) -> list[Triple]:
+    """Triangle vanes from the fold-1 pairs of ``seq``, one per symbol in increasing order.
 
     Variant 1 emits (0, left+c, right+c); variant 2 emits (0, symbol, right+c).
     Either way the triangle's edges are {symbol, left+c, right+c}, so c must
-    be at least the largest symbol for the two ranges to stay disjoint.
+    be at least the largest symbol for the two ranges to stay disjoint.  The
+    pairs come from ``seq.occurrences``; a sequence it does not pair as fold 1
+    goes through ``pairs_of`` and ``PairSet.single``, which raise the errors.
     """
+    occ = seq.occurrences
+    pairs = None if occ.fold == 1 else pairs_of(seq)
+    symbols = occ.symbols if pairs is None else pairs.symbols
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
-    symbols = pairs.symbols
     if not symbols:
         return []
-    if c < max(symbols):
-        raise ShiftTooSmall(f"shift {c} below largest symbol {max(symbols)}")
-    triples = []
-    for sym in symbols:
-        a, b = pairs.single(sym)
-        if variant == 1:
-            triples.append((0, a + c, b + c))
-        else:
-            triples.append((0, sym, b + c))
-    return triples
+    if c < symbols[-1]:
+        raise ShiftTooSmall(f"shift {c} below largest symbol {symbols[-1]}")
+    if pairs is None:
+        lefts, rights = occ.firsts, occ.lasts
+    else:
+        lefts, rights = zip(*map(pairs.single, symbols))
+    if variant == 1:
+        return [(0, a + c, b + c) for a, b in zip(lefts, rights)]
+    return [(0, sym, b + c) for sym, b in zip(symbols, rights)]
 
 
 def quadruples_from_twofold(seq: SkolemTypeSequence, c: int) -> list[tuple[int, int, int, int]]:
@@ -63,8 +65,16 @@ def quadruples_from_twofold(seq: SkolemTypeSequence, c: int) -> list[tuple[int, 
     """
     if c < 0:
         raise BoundViolation(f"shift must be non-negative, got {c}")
-    if seq.is_hooked:
+    occ = seq.occurrences
+    if occ.hooks:
         raise BoundViolation("two-fold quadruple input must be hook-free")
+    if occ.fold == 2:
+        symbols = occ.symbols
+        ds = [first + sym + c for first, sym in zip(occ.firsts, symbols)]
+        fs = [last + c for last in occ.lasts]
+        if len({*ds, *symbols, *fs}) == 3 * len(symbols):
+            return list(zip([0] * len(symbols), ds, symbols, fs))
+    # Something fails: pair and check symbol by symbol to name the first failure.
     pairs = pairs_of(seq)
     quads = []
     seen: set[int] = set()
@@ -127,21 +137,26 @@ def fivetuples_shifted(p: int, shift: int) -> list[tuple[int, int, int, int, int
     endpoints off a prefix of cells so that D + shift clears the base values.
     """
     base, companion, forbidden = _fivetuple_sources(p)
-    base_pairs = pairs_of(base)
-    comp_pairs = pairs_of(companion)
-    for sym in comp_pairs.symbols:
-        _, right = comp_pairs.single(sym)
-        if right in forbidden:
-            raise PreconditionFailed(
-                f"companion for p={p} has a right endpoint at cell {right}"
-            )
-    tuples = []
-    for i in range(1, p + 1):
-        a, b = base_pairs.single(i)
-        _, d_b = comp_pairs.single(b)
-        _, d_a = comp_pairs.single(a)
-        tuples.append((0, d_b + shift, b, a, d_a + shift))
-    return tuples
+    bo, co = base.occurrences, companion.occurrences
+    if (
+        bo.fold == co.fold == 1
+        and bo.symbols == tuple(range(1, p + 1))
+        and forbidden.isdisjoint(co.lasts)
+    ):
+        right = dict(zip(co.symbols, co.lasts))
+        base_pairs = zip(bo.firsts, bo.lasts)
+    else:
+        # Pair symbol by symbol to raise the first failure.
+        base_set, comp_pairs = pairs_of(base), pairs_of(companion)
+        right = {}
+        for sym in comp_pairs.symbols:
+            _, right[sym] = comp_pairs.single(sym)
+            if right[sym] in forbidden:
+                raise PreconditionFailed(
+                    f"companion for p={p} has a right endpoint at cell {right[sym]}"
+                )
+        base_pairs = map(base_set.single, range(1, p + 1))
+    return [(0, right[b] + shift, b, a, right[a] + shift) for a, b in base_pairs]
 
 
 def fivetuples_c5(p: int) -> list[tuple[int, int, int, int, int]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import families, oracle
 from .errors import MalformedLabelling, SearchBudgetExhausted, Unlabellable, WindmillError
@@ -54,7 +55,10 @@ _GEN_KINDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first ``main`` call and reused: ``parse_args`` returns a
+    # fresh namespace each time and keeps no state in the parser.
     parser = argparse.ArgumentParser(
         prog="windmills",
         description="Construct and verify (near) graceful labellings of variable windmills.",

@@ -47,7 +47,6 @@ from .sequences import (
     gen_twofold_langford,
     gen_twofold_skolem,
     langford_sequence,
-    pairs_of,
 )
 from .windmill import (
     GRACEFUL,
@@ -105,7 +104,7 @@ def label_c3(t: int) -> Labelling:
     if t < 1:
         raise OutOfRange(f"need t >= 1, got {t}")
     seq = _triangle_sequence(t)
-    tris = triples_from_pairs(pairs_of(seq), c=t, variant=1)
+    tris = triples_from_pairs(seq, c=t, variant=1)
     spec = WindmillSpec.of((3, t))
     return _checked(Labelling(spec, tuple(tris), expected_mode(spec)))
 
@@ -332,7 +331,7 @@ def _build_c3c4(plan: ConstructionTrace) -> Labelling:
     quads = quadruples_from_twofold(_SQUARE_BLOCKS[rule](params), c=t)
     if len(quads) != s:  # pragma: no cover - arithmetic guarantee
         raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
-    tris = triples_from_pairs(pairs_of(_triangle_sequence(t)), c=4 * s + t, variant=1)
+    tris = triples_from_pairs(_triangle_sequence(t), c=4 * s + t, variant=1)
     spec = WindmillSpec.of((3, t), (4, s))
     return _checked(Labelling(spec, tuple(tris) + tuple(quads), expected_mode(spec)))
 
@@ -434,7 +433,7 @@ def label_c3c5(t: int, p: int) -> Labelling:
         )
     fives = fivetuples_shifted(p, p + 3 * t)
     lang = langford_sequence(p + 1, t)
-    tris = triples_from_pairs(pairs_of(lang), c=p + t, variant=1)
+    tris = triples_from_pairs(lang, c=p + t, variant=1)
     spec = WindmillSpec.of((3, t), (5, p))
     return _checked(Labelling(spec, tuple(tris) + tuple(fives), expected_mode(spec)))
 
@@ -451,7 +450,7 @@ def label_c3c6(t: int, h: int) -> Labelling:
     if h > 2 * t + 1:
         raise TooManyHexagons(f"h={h} exceeds the bound 2t+1={2 * t + 1}")
     n = t + 2 * h
-    triangles = triples_from_pairs(pairs_of(_triangle_sequence(n)), c=n, variant=2)
+    triangles = triples_from_pairs(_triangle_sequence(n), c=n, variant=2)
     pair_pool = _hexagon_pair_rows(n)
     if len(pair_pool) < h:  # pragma: no cover - equivalent to the h bound
         raise TooManyHexagons(f"only {len(pair_pool)} mergeable pairs for n={n}")
@@ -476,14 +475,29 @@ def coverage_audit(t_max: int, s_max: int) -> Iterator[tuple[tuple[int, int], st
     """
     if t_max < 1 or s_max < 1:
         raise OutOfRange("audit bounds must be >= 1")
-    return (
-        ((t, s), _audit_rule(_plan_c3c4(t, s)))
-        for t in range(1, t_max + 1)
-        for s in range(0, s_max + 1)
-    )
+    return _audit_cells(t_max, s_max)
 
 
-def _audit_rule(plan: ConstructionTrace | None) -> str:
-    if plan is None or plan.rule == "gap-fixture":
-        return GAP
-    return "extension" if plan.children else plan.rule
+def _audit_cells(t_max: int, s_max: int) -> Iterator[tuple[tuple[int, int], str]]:
+    # An extension cell has a plan when its base has one.  The base lies
+    # earlier in the same row (s_base < s), so the row remembers which of its
+    # cells have a plan.  ``straddle`` changes the base's rule only at t <= 3,
+    # where the base is planned as ``_plan_c3c4`` plans it.
+    for t in range(1, t_max + 1):
+        planned = bytearray(s_max + 1)
+        straddled = t <= 3 and t % 4 in (2, 3)
+        for s in range(s_max + 1):
+            found = _c3c4_rule(t, s)
+            if found is None:
+                rule = GAP
+            elif found[0].startswith("extension-case"):
+                s_base = found[1]["s_base"]
+                if straddled:
+                    planned[s] = _plan_c3c4(t, s_base, straddle=True) is not None
+                else:
+                    planned[s] = planned[s_base]
+                rule = "extension" if planned[s] else GAP
+            else:
+                planned[s] = True
+                rule = GAP if found[0] == "gap-fixture" else found[0]
+            yield (t, s), rule

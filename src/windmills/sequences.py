@@ -12,9 +12,11 @@ Positions are 1-based everywhere; only the storage boundary converts.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import add, lt, ne, sub
+from typing import NamedTuple
 
 from .errors import (
     HookedOperand,
@@ -28,6 +30,24 @@ from .errors import (
 )
 
 Pair = tuple[int, int]
+
+
+class Occurrences(NamedTuple):
+    """Where each symbol of a sequence first and last occurs.
+
+    ``symbols`` is in increasing order and ``firsts``/``lasts`` follow it.
+    ``fold`` is 1 when every symbol occurs twice at distance itself, so its
+    one pair is (first, last); it is 2 when every symbol occurs four times
+    and pairs greedily, so its pairs are (first, first+s) and (last-s, last).
+    Any other sequence has fold 0 and is paired by ``pairs_of``.
+    """
+
+    fold: int
+    symbols: tuple[int, ...]
+    firsts: tuple[int, ...]
+    lasts: tuple[int, ...]
+    hooks: int
+    first_hook: int | None
 
 
 @dataclass(frozen=True)
@@ -78,10 +98,42 @@ class SkolemTypeSequence:
         return ",".join(str(e) for e in self.entries)
 
     @cached_property
+    def occurrences(self) -> Occurrences:
+        # Computed once per instance, in C-level passes: a generator's
+        # validation and the vane builders then read the same index.  Cached
+        # properties live in the instance dict, outside the dataclass fields,
+        # so equality and hashing ignore them.  Four occurrences
+        # p1 < p2 < p3 < p4 of s pair greedily exactly when p1+s and p4-s are
+        # the two middle ones: p1 pairs with p1+s, the other two with each other.
+        entries = self.entries
+        n = len(entries)
+        counts = Counter(entries)
+        hooks = counts.pop(0, 0)
+        first = dict(zip(reversed(entries), range(n, 0, -1)))
+        last = dict(zip(entries, range(1, n + 1)))
+        symbols = tuple(sorted(counts))
+        firsts = tuple(map(first.__getitem__, symbols))
+        lasts = tuple(map(last.__getitem__, symbols))
+        sizes = set(counts.values())
+        fold = 0
+        if sizes == {2}:
+            fold = 1 if tuple(map(sub, lasts, firsts)) == symbols else 0
+        elif sizes == {4}:
+            mids = tuple(map(add, firsts, symbols))
+            highs = tuple(map(sub, lasts, symbols))
+            at = (0, *entries).__getitem__
+            if (
+                all(map(lt, mids, lasts))
+                and tuple(map(at, mids)) == symbols
+                and tuple(map(at, highs)) == symbols
+                and all(map(ne, mids, highs))
+            ):
+                fold = 2
+        return Occurrences(fold, symbols, firsts, lasts, hooks, first.get(0))
+
+    @cached_property
     def _pairs(self) -> PairSet:
-        # Computed once per instance: the generators' validation and the
-        # families then read the same pairing.  Stored in the instance dict,
-        # outside the dataclass fields, so equality and hashing ignore it.
+        # cached like ``occurrences``
         return _greedy_pairs(self)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
@@ -145,6 +197,8 @@ def pairs_of(seq: SkolemTypeSequence) -> PairSet:
     Every table construction in this package yields sequences for which the
     greedy pairing is the unique valid one; anything else is rejected.  The
     result is cached on ``seq``, so a second call returns the same object.
+    ``validate`` and the vane builders read ``seq.occurrences`` instead and
+    pair here only when the index does not settle the pairing.
     """
     return seq._pairs
 
@@ -265,6 +319,8 @@ def validate(
     ``fragment`` relaxes the fold: a symbol may then own fewer pairs than the
     kind's fold (used for trimmed sequences awaiting their closing pair).
     """
+    if not fragment and _passes(seq, kind):
+        return SequenceReport(ok=True, violations=())
     violations: list[str] = []
     fold = kind.fold
     order = seq.order
@@ -307,6 +363,25 @@ def validate(
             violations.append(f"symbols missing from the kind's set: {missing}")
 
     return SequenceReport(ok=not violations, violations=tuple(violations))
+
+
+def _passes(seq: SkolemTypeSequence, kind: SequenceKind) -> bool:
+    """Whether ``validate`` finds no violation, read off the occurrence index.
+
+    A fold from the index means every symbol occurs 2*fold times and pairs,
+    which also fixes the length; the hook and the symbol set remain.
+    """
+    occ = seq.occurrences
+    if occ.fold != kind.fold:
+        return False
+    order = len(occ.symbols)
+    if kind.hooked:
+        if occ.hooks != 1 or occ.first_hook != 2 * occ.fold * order:
+            return False
+    elif occ.hooks:
+        return False
+    expected = kind.expected_symbols(order)
+    return expected is None or frozenset(occ.symbols) == expected
 
 
 def _ensure_valid(
@@ -364,10 +439,11 @@ _MEMO_SIZE = 128
 def _memoised(gen):
     """Remember the validated entries of ``gen``'s last ``_MEMO_SIZE`` calls.
 
-    A miss returns the sequence ``gen`` built, already validated and paired;
-    a hit returns a new sequence over the stored entries, which pairs itself
-    when first read.  Only entries are kept, never a ``PairSet``, and errors
-    are not remembered.  Keys are typed, so ``8.0`` still fails as uncached.
+    A miss returns the sequence ``gen`` built, already validated and indexed;
+    a hit returns a new sequence over the stored entries, which indexes
+    itself when first read.  Only entries are kept, never an index or a
+    ``PairSet``, and errors are not remembered.  Keys are typed, so ``8.0``
+    still fails as uncached.
     """
     memo: OrderedDict = OrderedDict()
 

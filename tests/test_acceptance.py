@@ -319,7 +319,7 @@ def test_criterion_9_hexagon_merge_edge_preservation():
     while applications < 1000:
         n = rng.randrange(5, 61)
         seq = plain(n) if n % 4 in (0, 1) else hooked(n)
-        vanes = triples_from_pairs(pairs_of(seq), n, 2)
+        vanes = triples_from_pairs(seq, n, 2)
         reference = Counter()
         for vane in vanes:
             cycle = tuple(vane) + (vane[0],)

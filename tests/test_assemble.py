@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windmills import assemble, families
 from windmills.assemble import (
     fivetuples_c5,
+    fivetuples_shifted,
     hexagon_merge,
     apply_hexagon_merge,
     hexagon_pairs,
@@ -18,14 +20,20 @@ from windmills.errors import (
     LabelClash,
     MissingTriple,
     OutOfRange,
+    PreconditionFailed,
     ShiftTooSmall,
 )
 from windmills.sequences import (
+    SkolemTypeSequence,
+    double,
+    exists,
     fixed_small_twofold,
     gen_hooked_skolem,
     gen_langford_doubledefect,
     gen_skolem,
+    gen_twofold_langford,
     gen_twofold_skolem,
+    langford_sequence,
     pairs_of,
     parse_sequence,
 )
@@ -44,18 +52,18 @@ def edges_of(vanes):
 
 
 def test_triples_hooked_order3_both_variants():
-    ps = pairs_of(parse_sequence("3,1,1,3,2,0,2"))
-    assert triples_from_pairs(ps, 3, 1) == [(0, 5, 6), (0, 8, 10), (0, 4, 7)]
-    assert triples_from_pairs(ps, 3, 2) == [(0, 1, 6), (0, 2, 10), (0, 3, 7)]
+    seq = parse_sequence("3,1,1,3,2,0,2")
+    assert triples_from_pairs(seq, 3, 1) == [(0, 5, 6), (0, 8, 10), (0, 4, 7)]
+    assert triples_from_pairs(seq, 3, 2) == [(0, 1, 6), (0, 2, 10), (0, 3, 7)]
 
 
 def test_triples_trivial():
-    assert triples_from_pairs(pairs_of(parse_sequence("1,1")), 1, 1) == [(0, 2, 3)]
+    assert triples_from_pairs(parse_sequence("1,1"), 1, 1) == [(0, 2, 3)]
 
 
 def test_triples_shift_too_small():
     with pytest.raises(ShiftTooSmall):
-        triples_from_pairs(pairs_of(gen_skolem(5)), 4, 1)
+        triples_from_pairs(gen_skolem(5), 4, 1)
 
 
 @pytest.mark.parametrize("t", [4, 5, 12, 21, 40, 100])
@@ -63,7 +71,7 @@ def test_triples_shift_too_small():
 def test_triples_label_ranges_skolem(t, extra):
     # framework guarantee: edges [1,t] and [c+1, c+2t], vertices the top block
     c = t + extra
-    triples = triples_from_pairs(pairs_of(gen_skolem(t)), c, 1)
+    triples = triples_from_pairs(gen_skolem(t), c, 1)
     assert sorted(edges_of(triples).elements()) == sorted(
         list(range(1, t + 1)) + list(range(c + 1, c + 2 * t + 1))
     )
@@ -75,7 +83,7 @@ def test_triples_label_ranges_skolem(t, extra):
 @pytest.mark.parametrize("extra", [0, 7])
 def test_triples_label_ranges_hooked(t, extra):
     c = t + extra
-    triples = triples_from_pairs(pairs_of(gen_hooked_skolem(t)), c, 1)
+    triples = triples_from_pairs(gen_hooked_skolem(t), c, 1)
     want = (
         list(range(1, t + 1))
         + list(range(c + 1, c + 2 * t))
@@ -92,7 +100,7 @@ def test_triples_langford_ranges():
     seq = gen_langford_doubledefect(d)
     l = seq.order
     c = d + l - 1
-    triples = triples_from_pairs(pairs_of(seq), c, 1)
+    triples = triples_from_pairs(seq, c, 1)
     want = list(range(d, d + l)) + list(range(c + 1, c + 2 * l + 1))
     assert sorted(edges_of(triples).elements()) == sorted(want)
 
@@ -103,7 +111,7 @@ def test_triple_label_sets_every_order_to_100():
         hooked = t % 4 in (2, 3)
         seq = gen_hooked_skolem(t) if hooked else gen_skolem(t)
         for c in (t, t + 7):
-            triples = triples_from_pairs(pairs_of(seq), c, 1)
+            triples = triples_from_pairs(seq, c, 1)
             vertices = sorted(v for tri in triples for v in tri[1:])
             if hooked:
                 want_v = list(range(c + 1, c + 2 * t)) + [c + 2 * t + 1]
@@ -250,7 +258,7 @@ def test_hexagon_merge_example():
 
 def test_hexagon_merge_order8_example():
     seq = gen_skolem(8)
-    triples = triples_from_pairs(pairs_of(seq), 8, 2)
+    triples = triples_from_pairs(seq, 8, 2)
     assert (0, 2, 14) in triples and (0, 7, 20) in triples
     merged = hexagon_merge(triples, (2, 7), 8)
     assert merged == (0, 14, 2, 9, 7, 20)
@@ -258,7 +266,7 @@ def test_hexagon_merge_order8_example():
 
 def test_hexagon_merge_preserves_edges():
     seq = gen_skolem(8)
-    vanes = triples_from_pairs(pairs_of(seq), 8, 2)
+    vanes = triples_from_pairs(seq, 8, 2)
     before = edges_of(vanes)
     for pair in hexagon_pairs(8):
         vanes = apply_hexagon_merge(vanes, pair, 8)
@@ -272,7 +280,7 @@ def test_hexagon_merge_randomised_edge_preservation():
     while applications < 1000:
         n = rng.randrange(5, 61)
         seq = gen_skolem(n) if n % 4 in (0, 1) else gen_hooked_skolem(n)
-        vanes = triples_from_pairs(pairs_of(seq), n, 2)
+        vanes = triples_from_pairs(seq, n, 2)
         before = edges_of(vanes)
         pairs = hexagon_pairs(n)
         rng.shuffle(pairs)
@@ -321,7 +329,7 @@ def merge_outcome(merge, vanes, pairs):
 def test_merge_hexagons_matches_iterated_merges():
     for n in range(5, 201):
         seq = gen_skolem(n) if n % 4 in (0, 1) else gen_hooked_skolem(n)
-        triangles = triples_from_pairs(pairs_of(seq), n, 2)
+        triangles = triples_from_pairs(seq, n, 2)
         pairs = hexagon_pairs(n)
         expected = list(triangles)
         assert merge_hexagons(triangles, []) == expected
@@ -356,3 +364,158 @@ def test_single_merges_are_merge_hexagons():
         merge_hexagons(triples, [(1, 2)])
     with pytest.raises(MissingTriple, match=r"no triangle \(0, 1, _\) present"):
         merge_hexagons(triples, [(1, 3), (1, 2)])  # the first merge consumed 1
+
+
+# -- vane builders against the PairSet path -------------------------------------
+
+
+def reference_triples(seq, c, variant):
+    """Triangles read off a ``PairSet`` as before the occurrence index, kept as a reference."""
+    pairs = pairs_of(seq)
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant}")
+    symbols = pairs.symbols
+    if not symbols:
+        return []
+    if c < max(symbols):
+        raise ShiftTooSmall(f"shift {c} below largest symbol {max(symbols)}")
+    triples = []
+    for sym in symbols:
+        a, b = pairs.single(sym)
+        triples.append((0, a + c, b + c) if variant == 1 else (0, sym, b + c))
+    return triples
+
+
+def reference_quadruples(seq, c):
+    if c < 0:
+        raise BoundViolation(f"shift must be non-negative, got {c}")
+    if seq.is_hooked:
+        raise BoundViolation("two-fold quadruple input must be hook-free")
+    pairs = pairs_of(seq)
+    quads = []
+    seen = set()
+    for sym in pairs.symbols:
+        prs = pairs.pairs_for(sym)
+        if len(prs) != 2:
+            raise BoundViolation(f"symbol {sym} has {len(prs)} pairs, expected 2")
+        (_, d), (_, f) = prs
+        quad = (0, d + c, sym, f + c)
+        for label in quad[1:]:
+            if label in seen:
+                raise BoundViolation(f"vertex label {label} repeats (shift {c} too small)")
+            seen.add(label)
+        quads.append(quad)
+    return quads
+
+
+def reference_fivetuples(p, shift):
+    base, companion, forbidden = assemble._fivetuple_sources(p)
+    base_pairs = pairs_of(base)
+    comp_pairs = pairs_of(companion)
+    for sym in comp_pairs.symbols:
+        _, right = comp_pairs.single(sym)
+        if right in forbidden:
+            raise PreconditionFailed(f"companion for p={p} has a right endpoint at cell {right}")
+    tuples = []
+    for i in range(1, p + 1):
+        a, b = base_pairs.single(i)
+        _, d_b = comp_pairs.single(b)
+        _, d_a = comp_pairs.single(a)
+        tuples.append((0, d_b + shift, b, a, d_a + shift))
+    return tuples
+
+
+def built(build, *args):
+    # fresh sequences, so neither path reads what the other cached
+    args = [SkolemTypeSequence(a.entries) if isinstance(a, SkolemTypeSequence) else a for a in args]
+    try:
+        return build(*args)
+    except Exception as exc:  # the error is part of the outcome
+        return type(exc).__name__, str(exc)
+
+
+def assert_builders_match(seq, c, variants=(1, 2)):
+    for variant in variants:
+        assert built(triples_from_pairs, seq, c, variant) == built(reference_triples, seq, c, variant)
+    assert built(quadruples_from_twofold, seq, c) == built(reference_quadruples, seq, c)
+
+
+def family_cells():
+    """(sequence, shift) for every vane block the five families build on a grid,
+    with shifts just below and above the family's own."""
+    cells = []
+    for n in range(1, 121):  # C3, C3C6 (n = t + 2h) and the C3C4 triangle blocks
+        seq = families._triangle_sequence(n)
+        cells += [(seq, c) for c in (n - 1, n, 4 * n + 3)]
+    for t in range(1, 17):
+        for s in range(1, 101):
+            rule, params = families._c3c4_rule(t, s)
+            if rule in families._SQUARE_BLOCKS:
+                block = families._SQUARE_BLOCKS[rule](params)
+                cells += [(block, t - 1), (block, t)]
+            elif rule.startswith("extension-case"):
+                k = params["k"]
+                c = families._square_shift(t, params["s_base"])
+                block = gen_twofold_langford(k)
+                cells += [(block, c), (block, 2 * k + 1)]
+    for p in range(1, 10):  # C3C5 triangle blocks
+        for t in range(2 * p + 1, 2 * p + 10):
+            if exists("langford", order=t, defect=p + 1):
+                cells += [(langford_sequence(p + 1, t), c) for c in (p + t - 1, p + t)]
+    return list({(seq.entries, c): (seq, c) for seq, c in cells}.values())
+
+
+def test_vane_builders_match_reference_on_every_family():
+    cells = family_cells()
+    assert len(cells) > 1500
+    for seq, c in cells:
+        assert_builders_match(seq, c)
+    for p in range(1, 120):  # C5 at shift p, C3C5 at shift p + 3t
+        for shift in (p, 7 * p + 3):
+            assert built(fivetuples_shifted, p, shift) == built(reference_fivetuples, p, shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), max_size=24),
+    st.integers(min_value=-1, max_value=12),
+    st.integers(min_value=0, max_value=3),
+)
+def test_vane_builders_match_reference_on_random_entries(entries, c, variant):
+    assert_builders_match(SkolemTypeSequence(tuple(entries)), c, (variant,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=23)),
+        max_size=16,
+    ),
+    st.integers(min_value=0, max_value=12),
+)
+def test_vane_builders_match_reference_on_placed_pairs(placements, c):
+    entries = [0] * 24
+    for sym, left in placements:
+        right = left + sym
+        if right <= 24 and entries[left - 1] == entries[right - 1] == 0:
+            entries[left - 1] = entries[right - 1] = sym
+    while entries and not entries[-1]:
+        entries.pop()  # no hooks, so the squares get past the hook check
+    assert_builders_match(SkolemTypeSequence(tuple(entries)), c)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda base, comp, forbidden: (base, comp, forbidden | {max(comp.occurrences.lasts)}),
+        lambda base, comp, forbidden: (base, double(comp) if not comp.is_hooked else comp, forbidden),
+        lambda base, comp, forbidden: (SkolemTypeSequence((2, 0, 2)), comp, forbidden),
+        lambda base, comp, forbidden: (base, SkolemTypeSequence((1, 1)), forbidden),
+    ],
+    ids=["forbidden-cell", "twofold-companion", "base-symbols", "small-companion"],
+)
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 9])
+def test_fivetuples_failures_match_reference(monkeypatch, change, p):
+    sources = assemble._fivetuple_sources
+    monkeypatch.setattr(assemble, "_fivetuple_sources", lambda q: change(*sources(q)))
+    assert built(fivetuples_shifted, p, p) == built(reference_fivetuples, p, p)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from windmills import sequences
+from windmills import cli, sequences
 from windmills.cli import main
 from windmills.windmill import from_json, verify
 
@@ -326,3 +326,49 @@ def test_sweep_bad_range(capsys):
     code, out, err = run(capsys, "sweep", "--t", "3..1", "--s", "0..2")
     assert code == 3 and out == ""
     assert err == "error: empty range '3..1'\n"
+
+
+def test_parser_reuse_leaks_no_state(capsys, tmp_path):
+    # ``main`` builds its parser once per process; each call in a sequence
+    # must still behave as it does with a freshly built parser
+    near = tmp_path / "near.json"
+    near.write_text(
+        '{"spec": [{"cycle": 3, "count": 1}], "mode": "near-graceful", "vanes": [[0, 1, 3]]}'
+    )
+    calls = [
+        ["label", "--graph", "c3=4", "--json"],
+        ["label", "--graph", "c3=4"],
+        ["oracle", "--graph", "c3=2,c4=1", "--mode", "graceful", "--budget", "5"],
+        ["oracle", "--graph", "c3=2,c4=1", "--mode", "graceful"],
+        ["verify", "--file", str(near), "--permissive-near"],
+        ["verify", "--file", str(near)],
+        ["label", "--json"],  # argparse error: --graph is required
+        ["label", "--graph", "c3=4", "--json", "--dot"],  # argparse error: exclusive
+        ["label", "--graph", "c3=4"],
+        ["verify", "--file", str(near)],
+        ["oracle", "--graph", "c3=2,c4=1", "--mode", "graceful"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    together = [outcome(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == alone
+    codes = [code for code, _, _ in together]
+    assert codes == [0, 0, 4, 0, 0, 1, ("exit", 2), ("exit", 2), 0, 1, 0]
+    assert together[0][1].startswith("{") and together[1][1].startswith("c3=4  m=12  mode=graceful\n")
+    assert together[2][1] == "budget exhausted after 6 nodes\n"
+    assert together[3][1] == "none (exhaustive, 3224 nodes)\n"
+    assert together[4][1].startswith("ok (near-graceful, m=3) [permissive variant")
+    assert together[5][1].startswith("FAILED (near-graceful, m=3)")

@@ -632,7 +632,7 @@ def test_coverage_audit_expected_gaps():
 
 def test_coverage_audit_streams_its_cells():
     # a dict of these 20,020 cells peaks at about 2.2 MB under tracemalloc;
-    # the stream holds one cell's plan at a time
+    # the stream holds one row's outcomes and one cell's rule at a time
     tracemalloc.start()
     try:
         cells = coverage_audit(20, 1000)
@@ -643,6 +643,63 @@ def test_coverage_audit_streams_its_cells():
         tracemalloc.stop()
     assert first == ((1, 0), "triangles-only") and count == 20 * 1001
     assert peak < 200_000, peak
+
+
+def reference_audit(t_max, s_max):
+    """The audit as it planned every cell from scratch, kept as a reference."""
+    for t in range(1, t_max + 1):
+        for s in range(0, s_max + 1):
+            plan = families._plan_c3c4(t, s)
+            if plan is None or plan.rule == "gap-fixture":
+                yield (t, s), GAP
+            else:
+                yield (t, s), "extension" if plan.children else plan.rule
+
+
+def test_coverage_audit_matches_planning_every_cell():
+    # (3, s) extensions plan their straddled bases; (1, 84) has a gap-fixture base
+    assert list(coverage_audit(60, 700)) == list(reference_audit(60, 700))
+
+
+def test_coverage_audit_follows_base_plans(monkeypatch):
+    # Every cell has a plan (the coverage lemma), so knock out the first
+    # extension base of some rows: each extension whose base chain passes
+    # through a hole must turn GAP, as planning it from scratch finds.  Rows
+    # t = 2, 3 plan their bases with ``straddle``, the others read the row.
+    rule = families._c3c4_rule
+    holes = set()
+    for t in (1, 2, 3, 5, 6, 9):
+        s = next(s for s in range(300) if rule(t, s)[0].startswith("extension-case"))
+        holes.add((t, rule(t, s)[1]["s_base"]))
+
+    def holed(t, s, straddle=False):
+        # like the rule itself, a hole depends on ``straddle`` only at t <= 3
+        if (t, s) in holes and (t > 3 or straddle == (t in (2, 3))):
+            return None
+        return rule(t, s, straddle)
+
+    monkeypatch.setattr(families, "_c3c4_rule", holed)
+    got = list(coverage_audit(10, 300))
+    assert got == list(reference_audit(10, 300))
+    gaps = {t for (t, s), found in got if found == GAP and (t, s) not in EXPECTED_GAPS}
+    assert gaps == {1, 2, 3, 5, 6, 9}
+
+
+def test_coverage_audit_rules_each_cell_once(monkeypatch):
+    # an extension reads whether its base has a plan from the row; only the
+    # straddled rows t = 2, 3 plan their bases again
+    calls = Counter()
+    rule = families._c3c4_rule
+
+    def counting(t, s, straddle=False):
+        calls[t] += 1
+        return rule(t, s, straddle)
+
+    monkeypatch.setattr(families, "_c3c4_rule", counting)
+    assert sum(1 for _ in coverage_audit(30, 400)) == 30 * 401
+    assert {t: n for t, n in calls.items() if t not in (2, 3)} == {
+        t: 401 for t in range(1, 31) if t not in (2, 3)
+    }
 
 
 def test_coverage_audit_matches_dispatch_rules():

@@ -227,7 +227,7 @@ def test_pairs_of_is_cached_on_the_sequence():
     s = seq(3, 1, 1, 3, 2, 0, 2)
     assert pairs_of(s) is pairs_of(s)
     assert s == seq(3, 1, 1, 3, 2, 0, 2) and hash(s) == hash(seq(3, 1, 1, 3, 2, 0, 2))
-    gen = gen_skolem(12)  # its validation already paired it
+    gen = gen_skolem(12)
     assert pairs_of(gen) is pairs_of(gen)
 
 
@@ -236,6 +236,173 @@ def test_pairs_of_is_cached_on_the_sequence():
 def test_pairs_roundtrip_property(n):
     s = gen_twofold_skolem(n)
     assert pairs_of(s).to_entries() == s
+
+
+# -- the occurrence index against the PairSet path ----------------------------
+
+
+def reference_validate(seq, kind, fragment=False):
+    """``validate`` as it was before the occurrence index, kept as a reference:
+    every check reads the entries, and the pairing comes from ``reference_pairs_of``."""
+    violations = []
+    fold = kind.fold
+    order = seq.order
+    hooks = seq.hook_positions
+    if kind.hooked:
+        expected_hook = 2 * fold * order
+        if hooks != {expected_hook}:
+            violations.append(
+                f"hook must sit exactly at position {expected_hook}, found {sorted(hooks)}"
+            )
+    elif hooks:
+        violations.append(f"unexpected hooks at positions {sorted(hooks)}")
+    for sym, cnt in sorted(seq.occurrence_counts().items()):
+        if fragment:
+            if cnt % 2 != 0 or not 2 <= cnt <= 2 * fold:
+                violations.append(f"symbol {sym} occurs {cnt} times")
+        elif cnt != 2 * fold:
+            violations.append(f"symbol {sym} occurs {cnt} times, expected {2 * fold}")
+    if not fragment:
+        expected_len = 2 * fold * order + len(hooks)
+        if seq.length != expected_len:
+            violations.append(f"length {seq.length}, expected {expected_len}")
+    try:
+        reference_pairs_of(seq)
+    except UnmatchedSymbol as exc:
+        violations.append(str(exc))
+    expected = kind.expected_symbols(order)
+    if expected is not None and seq.symbol_set != expected:
+        extra = sorted(seq.symbol_set - expected)
+        missing = sorted(expected - seq.symbol_set)
+        if extra:
+            violations.append(f"symbols outside the kind's set: {extra}")
+        if missing:
+            violations.append(f"symbols missing from the kind's set: {missing}")
+    return sequences.SequenceReport(ok=not violations, violations=tuple(violations))
+
+
+FIXED_KINDS = (
+    SequenceKind("skolem"),
+    SequenceKind("hooked-skolem"),
+    SequenceKind("near-skolem", defect=2),
+    SequenceKind("hooked-near-skolem", defect=3),
+    SequenceKind("langford", defect=2),
+    SequenceKind("hooked-langford", defect=2),
+    SequenceKind("skolem-type"),
+    SequenceKind("skolem-type", symbols=frozenset({1, 2, 3})),
+    SequenceKind("two-fold-skolem"),
+    SequenceKind("two-fold-langford", defect=2),
+    SequenceKind("two-fold-skolem-type"),
+)
+
+
+def kinds_for(entries):
+    """The fixed kinds plus those whose symbol set or defect fits ``entries``."""
+    symbols = frozenset(entries) - {0}
+    kinds = list(FIXED_KINDS)
+    kinds += [SequenceKind(tag, symbols=symbols) for tag in ("skolem-type", "two-fold-skolem-type")]
+    if symbols:
+        low, high = min(symbols), max(symbols)
+        kinds += [SequenceKind(tag, defect=low) for tag in ("langford", "hooked-langford", "two-fold-langford")]
+        if high > 1:
+            kinds += [SequenceKind(tag, defect=high - 1) for tag in ("near-skolem", "hooked-near-skolem")]
+    return kinds
+
+
+def assert_index_matches_reference(entries):
+    # fresh instances throughout, so nothing cached by a generator is read
+    entries = tuple(entries)
+    for kind in kinds_for(entries):
+        for fragment in (False, True):
+            got = validate(SkolemTypeSequence(entries), kind, fragment=fragment)
+            want = reference_validate(SkolemTypeSequence(entries), kind, fragment=fragment)
+            assert got == want, (entries, kind, fragment)
+    occ = SkolemTypeSequence(entries).occurrences
+    positions = {}
+    for pos, sym in enumerate(entries, 1):
+        positions.setdefault(sym, []).append(pos)
+    zeros = positions.pop(0, [])
+    assert (occ.hooks, occ.first_hook) == (len(zeros), zeros[0] if zeros else None)
+    assert occ.symbols == tuple(sorted(positions))
+    assert occ.firsts == tuple(positions[s][0] for s in occ.symbols)
+    assert occ.lasts == tuple(positions[s][-1] for s in occ.symbols)
+    try:
+        pairs = reference_pairs_of(SkolemTypeSequence(entries))
+    except UnmatchedSymbol:
+        pairs = None
+    counts = {len(p) for p in positions.values()}
+    fold = {2: 1, 4: 2}.get(counts.pop(), 0) if pairs and len(counts) == 1 else 0
+    assert occ.fold == fold, entries
+    if fold == 1:
+        assert all(pairs.single(s) == (f, l) for s, f, l in zip(*occ[1:4]))
+    elif fold == 2:
+        assert all(
+            pairs.pairs_for(s) == ((f, f + s), (l - s, l)) for s, f, l in zip(*occ[1:4])
+        )
+
+
+def test_index_fold_two_needs_distinct_middle_cells():
+    # symbol 3 sits at 2, 5, 7, 8: 2+3 and 8-3 are the same cell, so the
+    # greedy pairing takes (2, 5) and leaves 7 without a partner
+    for entries in ((2, 3, 2, 2, 3, 2, 3, 3), (3, 3, 2, 3, 2, 2, 3, 2)):
+        assert SkolemTypeSequence(entries).occurrences.fold == 0
+        assert_index_matches_reference(entries)
+
+
+def test_index_matches_reference_on_every_generated_sequence():
+    for seq in GENERATED:
+        assert_index_matches_reference(seq.entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=24))
+def test_index_matches_reference_on_random_entries(entries):
+    assert_index_matches_reference(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(GENERATED),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_index_matches_reference_on_swapped_cells(seq, i, j):
+    entries = list(seq.entries)
+    if entries:
+        i, j = i % len(entries), j % len(entries)
+        entries[i], entries[j] = entries[j], entries[i]
+    assert_index_matches_reference(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=23)),
+        max_size=16,
+    )
+)
+def test_index_matches_reference_on_interleaved_twofold(placements):
+    assert_index_matches_reference(place_pairs(placements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(GENERATED),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_index_matches_reference_on_fragments(seq, i, j):
+    # a slice of a valid sequence cuts some pairs: fragments and half pairs
+    n = len(seq.entries) + 1
+    i, j = sorted((i % n, j % n))
+    assert_index_matches_reference(seq.entries[i:j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GENERATED), st.sampled_from(GENERATED))
+def test_index_matches_reference_on_mixed_folds(first, second):
+    # concatenations mix folds, repeat symbols and move hooks off the end
+    assert_index_matches_reference(first.entries + second.entries)
 
 
 # -- generators ---------------------------------------------------------------
