@@ -74,7 +74,7 @@ class SkolemTypeSequence:
 
     @property
     def is_hooked(self) -> bool:
-        return bool(self.hook_positions)
+        return 0 in self.entries
 
     @property
     def symbol_set(self) -> frozenset[int]:
@@ -437,25 +437,24 @@ _MEMO_SIZE = 128
 
 
 def _memoised(gen):
-    """Remember the validated entries of ``gen``'s last ``_MEMO_SIZE`` calls.
+    """Remember the validated sequences of ``gen``'s last ``_MEMO_SIZE`` calls.
 
-    A miss returns the sequence ``gen`` built, already validated and indexed;
-    a hit returns a new sequence over the stored entries, which indexes
-    itself when first read.  Only entries are kept, never an index or a
-    ``PairSet``, and errors are not remembered.  Keys are typed, so ``8.0``
-    still fails as uncached.
+    A miss returns the sequence ``gen`` built, already validated and indexed,
+    and stores that object; a hit returns it again, so its index and pairing
+    are computed once however often it is asked for.  Errors are not
+    remembered.  Keys are typed, so ``8.0`` still fails as uncached.
     """
     memo: OrderedDict = OrderedDict()
 
     @wraps(gen)
     def cached(*args, **kwargs):
         key = (args, tuple(kwargs.items()), tuple(map(type, (*args, *kwargs.values()))))
-        entries = memo.pop(key, None)
-        if entries is not None:
-            memo[key] = entries  # now the most recently used
-            return SkolemTypeSequence(entries)
+        seq = memo.pop(key, None)
+        if seq is not None:
+            memo[key] = seq  # now the most recently used
+            return seq
         seq = gen(*args, **kwargs)
-        memo[key] = seq.entries
+        memo[key] = seq
         if len(memo) > _MEMO_SIZE:
             memo.popitem(last=False)
         return seq

@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import MalformedLabelling
 
@@ -108,19 +108,22 @@ class Labelling:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise MalformedLabelling(f"unknown mode {self.mode!r}")
-        lengths = Counter(len(v) for v in self.vanes)
+        lengths = Counter(map(len, self.vanes))
         expected = Counter({l: c for l, c in self.spec.vanes})
         if lengths != expected:
             raise MalformedLabelling(
                 f"vane lengths {dict(lengths)} do not match spec {dict(expected)}"
             )
-        # Exact ints need no per-label check; the loop runs only for other types.
-        all_int = set(map(type, chain.from_iterable(self.vanes))) <= {int}
+        # Every vane is as long as a cycle, so it has a first label.  Exact ints
+        # starting each vane at 0 need no per-vane check; the loop runs only to
+        # name the first bad vane or label.
+        if set(map(type, chain.from_iterable(self.vanes))) <= {int} and not any(
+            map(itemgetter(0), self.vanes)
+        ):
+            return
         for vane in self.vanes:
             if not vane or vane[0] != 0:
                 raise MalformedLabelling(f"vane {vane} must start at the central 0")
-            if all_int:
-                continue
             for label in vane:
                 if not _is_int(label):
                     raise MalformedLabelling(f"non-integer label in {vane}")
@@ -134,7 +137,7 @@ def edge_multiset(labelling: Labelling) -> Counter:
     """Absolute differences of cyclically consecutive labels, per vane."""
     edges: Counter = Counter()
     for vane in labelling.vanes:
-        for a, b in zip(vane, vane[1:] + (vane[0],)):
+        for a, b in zip(vane, (*vane[1:], vane[0])):
             edges[abs(a - b)] += 1
     return edges
 
@@ -212,8 +215,22 @@ def verify(labelling: Labelling, permissive_near: bool = False) -> VerificationR
     """Check the vertex and edge labels against ``labels(m, mode)``.
 
     With ``permissive_near`` a near labelling may instead use edge labels
-    [1, m] with vertices up to m+1 (flagged in the note).
+    [1, m] with vertices up to m+1 (flagged in the note).  A labelling whose
+    vanes are tuples cannot change, so its report is kept in the instance
+    dict, as ``cached_property`` keeps a value, and a second call returns it;
+    equality and hashing ignore it.  Vanes held in lists are checked anew
+    on every call.
     """
+    key = "_permissive_report" if permissive_near else "_report"
+    report = vars(labelling).get(key)
+    if report is None:
+        report = _report(labelling, permissive_near)
+        if type(labelling.vanes) is tuple and set(map(type, labelling.vanes)) == {tuple}:
+            vars(labelling)[key] = report
+    return report
+
+
+def _report(labelling: Labelling, permissive_near: bool) -> VerificationReport:
     m, mode = labelling.spec.edge_count, labelling.mode
     target = labels(m, mode)
     if _passes(labelling, target, target):
@@ -289,7 +306,7 @@ def to_dot(labelling: Labelling) -> str:
                 emitted.add(label)
                 lines.append(f'  v{label} [label="{label}"];')
     for vane in labelling.vanes:
-        cycle = vane + (vane[0],)
+        cycle = (*vane, vane[0])
         for a, b in zip(cycle, cycle[1:]):
             lines.append(f'  v{a} -- v{b} [label="{abs(a - b)}"];')
     lines.append("}")

@@ -360,6 +360,19 @@ def test_index_matches_reference_on_random_entries(entries):
     assert_index_matches_reference(entries)
 
 
+def test_is_hooked_matches_hook_positions_on_every_generated_sequence():
+    assert {seq.is_hooked for seq in GENERATED} == {False, True}
+    for seq in GENERATED:
+        assert seq.is_hooked == bool(seq.hook_positions), seq.entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=24))
+def test_is_hooked_matches_hook_positions_on_random_entries(entries):
+    seq = SkolemTypeSequence(tuple(entries))
+    assert seq.is_hooked == bool(seq.hook_positions)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(GENERATED),
@@ -745,7 +758,7 @@ def test_entries_type_check_fast_path_keeps_the_per_entry_rules():
 
 
 def test_type_and_kind_guards():
-    # a memo hit rebuilds its sequence from stored entries through this check
+    # every sequence, a generator's included, is built through this check
     for bad in (-2, True, 1.0, "1"):
         with pytest.raises(ValueError):
             SkolemTypeSequence((1, bad))
@@ -819,8 +832,8 @@ def test_memo_hit_and_miss_match_the_generator(gen, cold_memos, validations):
         del validations[:]
         hit = gen(*args, **kwargs)
         assert hit == want and not validations, (args, kwargs)
-        # a new object that pairs itself on first use, as the miss was paired
-        assert hit is not miss and "_pairs" not in vars(hit)
+        # the stored object itself, carrying the index and pairing the miss built
+        assert hit is miss
         assert pairs_of(hit) == pairs_of(miss)
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windmills import windmill
 from windmills.errors import MalformedLabelling, UnsupportedCombination
 from windmills.families import label_c3, label_c3c4, label_c3c5, label_c3c6, label_c5
 from windmills.windmill import (
@@ -328,3 +329,76 @@ def test_verify_matches_reference_on_families_and_mutants():
         (True, "permissive variant"),
         (False, ""),
     }
+
+
+# -- the report kept on the labelling ---------------------------------------------
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Counts the ``_passes`` calls ``verify`` makes."""
+    calls = []
+    real = windmill._passes
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(windmill, "_passes", counting)
+    return calls
+
+
+def test_verify_keeps_its_report_on_the_labelling(checks):
+    lab = replace(FIGURE_STYLE)  # a fresh instance, never verified
+    first = verify(lab)
+    assert first.ok and len(checks) == 1
+    del checks[:]
+    assert verify(lab) is first and not checks
+    assert lab == FIGURE_STYLE and hash(lab) == hash(FIGURE_STYLE)
+
+
+def test_verify_keeps_strict_and_permissive_reports_apart(checks):
+    lab = Labelling(WindmillSpec.of((4, 1)), ((0, 4, 5, 2),), NEAR_GRACEFUL)
+    permissive = verify(lab, permissive_near=True)
+    strict = verify(lab)
+    assert permissive.ok and not strict.ok
+    del checks[:]
+    assert verify(lab, permissive_near=True) is permissive
+    assert verify(lab, permissive_near=False) is strict and not checks
+
+
+def test_verify_keeps_a_failing_report_with_its_faults(checks):
+    bad = Labelling(WindmillSpec.of((3, 2)), ((0, 1, 3), (0, 1, 3)), GRACEFUL)
+    report = verify(bad)
+    del checks[:]
+    again = verify(bad)
+    assert again is report and not checks
+    assert again.duplicate_vertices == (1, 3)
+    assert again.missing_edges == (4, 5, 6)
+    assert again.extra_edges == (1, 2, 3)
+
+
+def test_verify_checks_list_vanes_on_every_call(checks):
+    vanes = [[0, 1, 3]]
+    lab = Labelling(WindmillSpec.of((3, 1)), vanes, GRACEFUL)
+    assert verify(lab).ok
+    vanes[0][1] = 3  # the list can change after the first report
+    report = verify(lab)
+    assert not report.ok and report.duplicate_vertices == (3,) and len(checks) == 2
+    assert to_dot(lab) == to_dot(Labelling(lab.spec, ((0, 3, 3),), GRACEFUL))
+    for held in ([(0, 1, 3)], ([0, 1, 3],)):
+        lab = Labelling(WindmillSpec.of((3, 1)), held, GRACEFUL)
+        del checks[:]
+        assert verify(lab) == verify(lab) and len(checks) == 2
+
+
+def test_kept_reports_match_fresh_checks_on_families_and_mutants():
+    rng = random.Random(8)
+    for lab in small_family_labellings():
+        for case in (lab, *mutants(lab, rng)):
+            for order in ((False, True), (True, False)):
+                case = replace(case)  # nothing kept yet
+                first = [verify(case, permissive_near=p) for p in order]
+                for p, report in zip(order, first):
+                    assert verify(case, permissive_near=p) is report
+                    assert report == windmill._report(replace(case), p), case
