@@ -110,10 +110,16 @@ _SMALL_COMPANIONS = {
 }
 
 
+def _triangle_sequence(n: int) -> SkolemTypeSequence:
+    """The Skolem sequence of order n, hooked at n = 2, 3 (mod 4) where no
+    plain one exists: the triangle blocks' pairs and the 5-cycle base."""
+    return gen_skolem(n) if n % 4 in (0, 1) else gen_hooked_skolem(n)
+
+
 def _fivetuple_sources(p: int):
     """Base sequence, companion pairing and forbidden right-endpoint cells."""
     k = p % 4
-    base = gen_skolem(p) if k in (0, 1) else gen_hooked_skolem(p)
+    base = _triangle_sequence(p)
     if k == 0:
         companion = gen_skolem(2 * p)
         forbidden = set(range(1, p + 1))

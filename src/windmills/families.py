@@ -17,6 +17,7 @@ from importlib import resources
 
 from .assemble import (
     _hexagon_pair_rows,
+    _triangle_sequence,
     fivetuples_c5,
     fivetuples_shifted,
     merge_hexagons,
@@ -40,10 +41,8 @@ from .sequences import (
     double,
     exists,
     fixed_small_twofold,
-    gen_hooked_skolem,
     gen_langford_doubledefect,
     gen_power4,
-    gen_skolem,
     gen_twofold_langford,
     gen_twofold_skolem,
     langford_sequence,
@@ -94,11 +93,6 @@ def _checked(labelling: Labelling) -> Labelling:
 # ---------------------------------------------------------------------------
 
 
-def _triangle_sequence(t: int) -> SkolemTypeSequence:
-    """(Hooked) Skolem sequence of order t used for the triangle block."""
-    return gen_skolem(t) if t % 4 in (0, 1) else gen_hooked_skolem(t)
-
-
 def label_c3(t: int) -> Labelling:
     """(Near) graceful triangle windmill; graceful exactly for t = 0, 1 (mod 4)."""
     if t < 1:
@@ -106,7 +100,7 @@ def label_c3(t: int) -> Labelling:
     seq = _triangle_sequence(t)
     tris = triples_from_pairs(seq, c=t, variant=1)
     spec = WindmillSpec.of((3, t))
-    return _checked(Labelling(spec, tuple(tris), expected_mode(spec)))
+    return _checked(Labelling(spec, tris, expected_mode(spec)))
 
 
 def label_c5(p: int) -> Labelling:
@@ -114,8 +108,7 @@ def label_c5(p: int) -> Labelling:
     if p < 1:
         raise OutOfRange(f"need p >= 1, got {p}")
     spec = WindmillSpec.of((5, p))
-    vanes = tuple(fivetuples_c5(p))
-    return _checked(Labelling(spec, vanes, expected_mode(spec)))
+    return _checked(Labelling(spec, fivetuples_c5(p), expected_mode(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,7 @@ def extend_c3c4(base: Labelling, k: int) -> Labelling:
     new_spec = WindmillSpec.of((3, t), (4, s + 4 * k - 1))
     tris = [v for v in vanes if len(v) == 3]
     squares = [v for v in vanes if len(v) == 4] + quads
-    return _checked(Labelling(new_spec, tuple(tris + squares), base.mode))
+    return _checked(Labelling(new_spec, tris + squares, base.mode))
 
 
 def _composite_rule(t: int, s: int) -> tuple[str, dict] | None:
@@ -333,7 +326,7 @@ def _build_c3c4(plan: ConstructionTrace) -> Labelling:
         raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
     tris = triples_from_pairs(_triangle_sequence(t), c=4 * s + t, variant=1)
     spec = WindmillSpec.of((3, t), (4, s))
-    return _checked(Labelling(spec, tuple(tris) + tuple(quads), expected_mode(spec)))
+    return _checked(Labelling(spec, tris + quads, expected_mode(spec)))
 
 
 def label_c3c4(t: int, s: int) -> tuple[Labelling, ConstructionTrace]:
@@ -435,7 +428,7 @@ def label_c3c5(t: int, p: int) -> Labelling:
     lang = langford_sequence(p + 1, t)
     tris = triples_from_pairs(lang, c=p + t, variant=1)
     spec = WindmillSpec.of((3, t), (5, p))
-    return _checked(Labelling(spec, tuple(tris) + tuple(fives), expected_mode(spec)))
+    return _checked(Labelling(spec, tris + fives, expected_mode(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +448,7 @@ def label_c3c6(t: int, h: int) -> Labelling:
     if len(pair_pool) < h:  # pragma: no cover - equivalent to the h bound
         raise TooManyHexagons(f"only {len(pair_pool)} mergeable pairs for n={n}")
     # the triangles that no merge consumed come first, then the hexagons
-    vanes = tuple(merge_hexagons(triangles, pair_pool[:h]))
+    vanes = merge_hexagons(triangles, pair_pool[:h])
     spec = WindmillSpec.of((3, t), (6, h)) if h else WindmillSpec.of((3, t))
     return _checked(Labelling(spec, vanes, expected_mode(spec)))
 

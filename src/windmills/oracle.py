@@ -158,7 +158,7 @@ def search_labelling(
             continue
         total_nodes += nodes
         if vanes is not None:
-            labelling = Labelling(spec=spec, vanes=tuple(vanes), mode=mode)
+            labelling = Labelling(spec=spec, vanes=vanes, mode=mode)
             report = verify(labelling, permissive_near=permissive)
             if not report.ok:  # pragma: no cover - search and verifier agree
                 raise AssertionError(f"oracle produced a bad labelling: {report}")
@@ -214,7 +214,7 @@ def search_sequence(
 
     def place(idx: int, start: int, free: int) -> bool:
         if idx == len(slots):
-            seq = SkolemTypeSequence(tuple(entries))
+            seq = SkolemTypeSequence(entries)
             report = validate(seq, kind)
             if not report.ok:  # pragma: no cover - layout and validator agree
                 raise AssertionError(f"search produced invalid sequence: {report.violations}")

@@ -12,9 +12,9 @@ Positions are 1-based everywhere; only the storage boundary converts.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache
 from operator import add, lt, ne, sub
 from typing import NamedTuple
 
@@ -57,10 +57,14 @@ class SkolemTypeSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A copy, so a caller's list cannot change the value and an iterator
+        # is read once; the error names an entry, not the container.
+        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", entries)
         # Exact ints need no per-entry check; the loop runs only for other types.
-        if set(map(type, self.entries)) <= {int} and min(self.entries, default=0) >= 0:
+        if set(map(type, entries)) <= {int} and min(entries, default=0) >= 0:
             return
-        for e in self.entries:
+        for e in entries:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"entries must be non-negative integers, got {e!r}")
 
@@ -412,7 +416,7 @@ def _seq_from_pairs(pair_map: dict[int, list[Pair]], length: int) -> SkolemTypeS
                 if entries[pos - 1] != 0:
                     raise InvalidSequence(f"position {pos} assigned twice")
                 entries[pos - 1] = sym
-    return SkolemTypeSequence(tuple(entries))
+    return SkolemTypeSequence(entries)
 
 
 class _PairBuilder:
@@ -432,35 +436,12 @@ class _PairBuilder:
 
 # Distinct argument tuples each generator remembers; the least recently used
 # is dropped first.  Neighbouring windmill cells share their sequences, and a
-# sweep over t <= 100, s <= 120 gives no generator more than 120 keys.
+# sweep over t <= 100, s <= 120 gives no generator more than 120 keys.  A hit
+# returns the validated sequence object a miss built, so its index and pairing
+# are computed once however often it is asked for.  Errors are not remembered,
+# and keys are typed, so ``8.0`` still fails as uncached.
 _MEMO_SIZE = 128
-
-
-def _memoised(gen):
-    """Remember the validated sequences of ``gen``'s last ``_MEMO_SIZE`` calls.
-
-    A miss returns the sequence ``gen`` built, already validated and indexed,
-    and stores that object; a hit returns it again, so its index and pairing
-    are computed once however often it is asked for.  Errors are not
-    remembered.  Keys are typed, so ``8.0`` still fails as uncached.
-    """
-    memo: OrderedDict = OrderedDict()
-
-    @wraps(gen)
-    def cached(*args, **kwargs):
-        key = (args, tuple(kwargs.items()), tuple(map(type, (*args, *kwargs.values()))))
-        seq = memo.pop(key, None)
-        if seq is not None:
-            memo[key] = seq  # now the most recently used
-            return seq
-        seq = gen(*args, **kwargs)
-        memo[key] = seq
-        if len(memo) > _MEMO_SIZE:
-            memo.popitem(last=False)
-        return seq
-
-    cached.memo = memo  # for inspection and clearing
-    return cached
+_memoised = lru_cache(maxsize=_MEMO_SIZE, typed=True)
 
 
 _SKOLEM_FIXTURES = {
@@ -753,7 +734,7 @@ def concat(seqs) -> SkolemTypeSequence:
         if seq.is_hooked:
             raise HookedOperand("cannot concatenate a hooked sequence")
         entries.extend(seq.entries)
-    return SkolemTypeSequence(tuple(entries))
+    return SkolemTypeSequence(entries)
 
 
 def double(seq: SkolemTypeSequence) -> SkolemTypeSequence:

@@ -34,6 +34,9 @@ class WindmillSpec:
     vanes: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        # A copy, so a caller's list cannot change the value; the errors
+        # below name a group, not the container.
+        object.__setattr__(self, "vanes", tuple(self.vanes))
         seen = set()
         for item in self.vanes:
             if not (isinstance(item, tuple) and len(item) == 2):
@@ -53,7 +56,7 @@ class WindmillSpec:
 
     @staticmethod
     def of(*groups: tuple[int, int]) -> "WindmillSpec":
-        return WindmillSpec(tuple(sorted((l, c) for l, c in groups if c)))
+        return WindmillSpec(sorted((l, c) for l, c in groups if c))
 
     @property
     def edge_count(self) -> int:
@@ -117,16 +120,19 @@ class Labelling:
         # Every vane is as long as a cycle, so it has a first label.  Exact ints
         # starting each vane at 0 need no per-vane check; the loop runs only to
         # name the first bad vane or label.
-        if set(map(type, chain.from_iterable(self.vanes))) <= {int} and not any(
-            map(itemgetter(0), self.vanes)
+        if not (
+            set(map(type, chain.from_iterable(self.vanes))) <= {int}
+            and not any(map(itemgetter(0), self.vanes))
         ):
-            return
-        for vane in self.vanes:
-            if not vane or vane[0] != 0:
-                raise MalformedLabelling(f"vane {vane} must start at the central 0")
-            for label in vane:
-                if not _is_int(label):
-                    raise MalformedLabelling(f"non-integer label in {vane}")
+            for vane in self.vanes:
+                if not vane or vane[0] != 0:
+                    raise MalformedLabelling(f"vane {vane} must start at the central 0")
+                for label in vane:
+                    if not _is_int(label):
+                        raise MalformedLabelling(f"non-integer label in {vane}")
+        # The caller's lists are copied into tuples after the checks, whose
+        # errors print a vane as given.
+        object.__setattr__(self, "vanes", tuple(map(tuple, self.vanes)))
 
     def vertex_labels(self) -> list[int]:
         """All non-central labels, with multiplicity."""
@@ -215,18 +221,15 @@ def verify(labelling: Labelling, permissive_near: bool = False) -> VerificationR
     """Check the vertex and edge labels against ``labels(m, mode)``.
 
     With ``permissive_near`` a near labelling may instead use edge labels
-    [1, m] with vertices up to m+1 (flagged in the note).  A labelling whose
-    vanes are tuples cannot change, so its report is kept in the instance
-    dict, as ``cached_property`` keeps a value, and a second call returns it;
-    equality and hashing ignore it.  Vanes held in lists are checked anew
-    on every call.
+    [1, m] with vertices up to m+1 (flagged in the note).  A labelling holds
+    its vanes in tuples and cannot change, so its report is kept in the
+    instance dict, as ``cached_property`` keeps a value, and a second call
+    returns it; equality and hashing ignore it.
     """
     key = "_permissive_report" if permissive_near else "_report"
     report = vars(labelling).get(key)
     if report is None:
-        report = _report(labelling, permissive_near)
-        if type(labelling.vanes) is tuple and set(map(type, labelling.vanes)) == {tuple}:
-            vars(labelling)[key] = report
+        report = vars(labelling)[key] = _report(labelling, permissive_near)
     return report
 
 

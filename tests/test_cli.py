@@ -260,7 +260,7 @@ def test_oracle_negative_names_the_max_label_cut(capsys):
 
 def test_label_search_budget_exit(capsys, monkeypatch):
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
-    sequences.langford_sequence.memo.clear()
+    sequences.langford_sequence.cache_clear()
     code, _, err = run(capsys, "label", "--graph", "c3=24,c5=8")
     assert code == 4 and "SearchBudgetExhausted" in err
 

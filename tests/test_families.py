@@ -734,7 +734,7 @@ def test_straddled_langford_base_trace():
 def test_c3c4_needs_no_search(monkeypatch):
     # with no placements allowed, any construction search would raise
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 0)
-    sequences.langford_sequence.memo.clear()
+    sequences.langford_sequence.cache_clear()
     cells = [(6, 60), (7, 70), (10, 90), (11, 95), (22, 200), (27, 200), (43, 300), (90, 700)]
     for t, s in cells:
         lab, trace = label_c3c4(t, s)
@@ -791,7 +791,7 @@ def test_warm_generator_memo_changes_no_c3c4_output(monkeypatch):
     for gen, calls in returned.items():
         for args, kwargs in calls:
             for memoised in _MEMOISED:
-                memoised.memo.clear()
+                memoised.cache_clear()
             cold = gen.__wrapped__(*args, **dict(kwargs)).entries
             assert cold == calls[args, kwargs], (gen.__name__, args, kwargs)
 

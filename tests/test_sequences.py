@@ -581,7 +581,7 @@ def test_langford_sequence_search():
 def test_langford_sequence_long_order_split():
     # l >= 8d - 4: the closed-form defect-d head, then a Langford tail of defect
     # 3d - 1 (here again closed form); the search alone finds another sequence
-    langford_sequence.memo.clear()
+    langford_sequence.cache_clear()
     assert langford_sequence(2, 12) == concat(
         [gen_langford_doubledefect(2), gen_langford_doubledefect(5)]
     )
@@ -590,7 +590,7 @@ def test_langford_sequence_long_order_split():
 def test_langford_search_budget(monkeypatch):
     # (9, 24) takes 3,071 placements, so a budget of 100 cuts it off
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
-    langford_sequence.memo.clear()
+    langford_sequence.cache_clear()
     with pytest.raises(SearchBudgetExhausted):
         langford_sequence(9, 24)
 
@@ -720,7 +720,7 @@ def test_search_pairs_node_count_pinned(monkeypatch):
 )
 def test_langford_search_entries_pinned(d, l, digest):
     # the three longest searches of label_c3c5's benchmark cells (c3=l, c5=d-1)
-    langford_sequence.memo.clear()
+    langford_sequence.cache_clear()
     entries = langford_sequence(d, l).to_text().encode()
     assert hashlib.sha256(entries).hexdigest() == digest
 
@@ -800,10 +800,10 @@ MEMOISED = {
 @pytest.fixture
 def cold_memos():
     for gen in MEMOISED:
-        gen.memo.clear()
+        gen.cache_clear()
     yield
     for gen in MEMOISED:
-        gen.memo.clear()
+        gen.cache_clear()
 
 
 @pytest.fixture
@@ -845,7 +845,8 @@ def test_memo_remembers_no_errors(cold_memos):
             gen_power4(-1)
         with pytest.raises(NoSuchSequence):
             langford_sequence(2, 5)
-    assert not gen_skolem.memo and not gen_power4.memo and not langford_sequence.memo
+    for gen in (gen_skolem, gen_power4, langford_sequence):
+        assert gen.cache_info().currsize == 0, gen.__name__
 
 
 def test_memo_keys_are_typed(cold_memos):
@@ -860,11 +861,39 @@ def test_memo_is_bounded_and_drops_the_least_recently_used(cold_memos, validatio
         gen_twofold_skolem(n)
     gen_twofold_skolem(1)  # a hit: order 1 is now the most recently used
     gen_twofold_skolem(129)
-    assert len(gen_twofold_skolem.memo) == 128
+    assert gen_twofold_skolem.cache_info().currsize == 128
     del validations[:]
     gen_twofold_skolem(1)
     gen_twofold_skolem(129)
     assert not validations  # both still held
     gen_twofold_skolem(2)
     assert len(validations) == 1  # order 2 was the oldest and had been dropped
-    assert len(gen_twofold_skolem.memo) == 128
+    assert gen_twofold_skolem.cache_info().currsize == 128
+
+
+def test_every_memo_is_a_bounded_typed_lru_cache():
+    for gen in MEMOISED:
+        assert gen.cache_parameters() == {"maxsize": 128, "typed": True}, gen.__name__
+
+
+# -- values hold tuples -----------------------------------------------------------
+
+
+def test_list_entries_are_copied_into_a_tuple():
+    entries = [1, 1]
+    s = SkolemTypeSequence(entries)
+    skolem = SequenceKind("skolem")
+    assert validate(s, skolem).ok and s.occurrences.fold == 1
+    entries[1] = 5
+    entries.append(3)
+    assert s.entries == (1, 1) and type(s.entries) is tuple
+    assert s.occurrences == SkolemTypeSequence((1, 1)).occurrences
+    assert validate(s, skolem).ok and pairs_of(s).single(1) == (1, 2)
+
+
+def test_list_built_sequence_equals_and_hashes_like_its_tuple_twin():
+    s, twin = SkolemTypeSequence([3, 1, 1, 3, 2, 0, 2]), parse_sequence("3,1,1,3,2,0,2")
+    assert s == twin and hash(s) == hash(twin) and {s: 1}[twin] == 1
+    assert SkolemTypeSequence(iter([3, 1, 1, 3, 2, 0, 2])) == twin  # read once
+    with pytest.raises(ValueError, match=r"got -1$"):
+        SkolemTypeSequence([1, -1])

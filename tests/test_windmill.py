@@ -378,18 +378,52 @@ def test_verify_keeps_a_failing_report_with_its_faults(checks):
     assert again.extra_edges == (1, 2, 3)
 
 
-def test_verify_checks_list_vanes_on_every_call(checks):
+def test_verify_keeps_the_report_of_list_vanes(checks):
     vanes = [[0, 1, 3]]
     lab = Labelling(WindmillSpec.of((3, 1)), vanes, GRACEFUL)
-    assert verify(lab).ok
-    vanes[0][1] = 3  # the list can change after the first report
     report = verify(lab)
-    assert not report.ok and report.duplicate_vertices == (3,) and len(checks) == 2
-    assert to_dot(lab) == to_dot(Labelling(lab.spec, ((0, 3, 3),), GRACEFUL))
-    for held in ([(0, 1, 3)], ([0, 1, 3],)):
-        lab = Labelling(WindmillSpec.of((3, 1)), held, GRACEFUL)
-        del checks[:]
-        assert verify(lab) == verify(lab) and len(checks) == 2
+    assert report.ok and len(checks) == 1
+    vanes[0][1] = 3  # the labelling holds its own copy
+    del checks[:]
+    assert verify(lab) is report and not checks
+    assert to_dot(lab) == to_dot(Labelling(lab.spec, ((0, 1, 3),), GRACEFUL))
+
+
+def test_list_inputs_are_copied_into_tuples():
+    groups = [(3, 1), (4, 1)]
+    spec = WindmillSpec(groups)
+    vanes = [[0, 6, 7], [0, 5, 1, 3]]
+    lab = Labelling(spec, vanes, GRACEFUL)
+    report = verify(lab)
+    assert report.ok
+    groups.append((5, 1))
+    vanes[0][1] = 1
+    vanes.append([0, 2, 4])
+    assert spec.vanes == ((3, 1), (4, 1)) and spec.edge_count == 7
+    assert lab.vanes == ((0, 6, 7), (0, 5, 1, 3))
+    assert verify(lab) == report == windmill._report(replace(lab), False)
+    assert windmill.edge_multiset(lab) == Counter(range(1, 8))
+
+
+def test_list_built_values_equal_and_hash_like_tuple_built_ones():
+    spec = WindmillSpec([(3, 1), (4, 1)])
+    twin_spec = WindmillSpec(((3, 1), (4, 1)))
+    assert spec == twin_spec and hash(spec) == hash(twin_spec)
+    assert type(spec.vanes) is tuple and WindmillSpec(iter(spec.vanes)) == spec
+    lab = Labelling(spec, [[0, 6, 7], [0, 5, 1, 3]], GRACEFUL)
+    twin = Labelling(twin_spec, ((0, 6, 7), (0, 5, 1, 3)), GRACEFUL)
+    assert lab == twin and hash(lab) == hash(twin)
+    assert {type(lab.vanes), *map(type, lab.vanes)} == {tuple}
+    assert to_json(lab) == to_json(twin) and to_dot(lab) == to_dot(twin)
+
+
+def test_list_inputs_keep_their_error_texts():
+    with pytest.raises(MalformedLabelling, match=r"bad vane group \[3, 1\]"):
+        WindmillSpec([[3, 1]])
+    with pytest.raises(MalformedLabelling, match=r"vane \[1, 6, 7\] must start"):
+        Labelling(WindmillSpec.of((3, 1)), [[1, 6, 7]], GRACEFUL)
+    with pytest.raises(MalformedLabelling, match=r"non-integer label in \[0, 6.0, 7\]"):
+        Labelling(WindmillSpec.of((3, 1)), [[0, 6.0, 7]], GRACEFUL)
 
 
 def test_kept_reports_match_fresh_checks_on_families_and_mutants():
