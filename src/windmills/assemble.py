@@ -39,7 +39,7 @@ def triples_from_pairs(seq: SkolemTypeSequence, c: int, variant: int) -> list[Tr
     """
     occ = seq.occurrences
     pairs = None if occ.fold == 1 else pairs_of(seq)
-    symbols = occ.symbols if pairs is None else pairs.symbols
+    symbols = occ.symbols
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
     if not symbols:

@@ -445,7 +445,7 @@ def label_c3c6(t: int, h: int) -> Labelling:
     n = t + 2 * h
     triangles = triples_from_pairs(_triangle_sequence(n), c=n, variant=2)
     pair_pool = _hexagon_pair_rows(n)
-    if len(pair_pool) < h:  # pragma: no cover - equivalent to the h bound
+    if len(pair_pool) < h:  # pragma: no cover - h bound; test_hexagon_rows_cover_every_hexagon_count
         raise TooManyHexagons(f"only {len(pair_pool)} mergeable pairs for n={n}")
     # the triangles that no merge consumed come first, then the hexagons
     vanes = merge_hexagons(triangles, pair_pool[:h])

@@ -135,11 +135,6 @@ class SkolemTypeSequence:
                 fold = 2
         return Occurrences(fold, symbols, firsts, lasts, hooks, first.get(0))
 
-    @cached_property
-    def _pairs(self) -> PairSet:
-        # cached like ``occurrences``
-        return _greedy_pairs(self)
-
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"({self.to_text()})"
 
@@ -199,15 +194,10 @@ def pairs_of(seq: SkolemTypeSequence) -> PairSet:
     """Greedy left-to-right pairing of each symbol's occurrences.
 
     Every table construction in this package yields sequences for which the
-    greedy pairing is the unique valid one; anything else is rejected.  The
-    result is cached on ``seq``, so a second call returns the same object.
+    greedy pairing is the unique valid one; anything else is rejected.
     ``validate`` and the vane builders read ``seq.occurrences`` instead and
     pair here only when the index does not settle the pairing.
     """
-    return seq._pairs
-
-
-def _greedy_pairs(seq: SkolemTypeSequence) -> PairSet:
     # One sweep collects every symbol's positions; then, symbol by symbol in
     # increasing order, the leftmost unpaired occurrence pairs with the cell
     # ``sym`` to its right, which must hold ``sym`` and still be unpaired.
@@ -322,70 +312,56 @@ def validate(
 
     ``fragment`` relaxes the fold: a symbol may then own fewer pairs than the
     kind's fold (used for trimmed sequences awaiting their closing pair).
+    The hooks, the symbols and the fold are read off ``seq.occurrences``.
+    An index fold equal to the kind's means every symbol occurs 2*fold times
+    and pairs, which also fixes the length, so the counts and the length are
+    checked only when the folds differ, and the greedy pairing is walked
+    only when the index has no fold.
     """
-    if not fragment and _passes(seq, kind):
-        return SequenceReport(ok=True, violations=())
     violations: list[str] = []
+    occ = seq.occurrences
     fold = kind.fold
-    order = seq.order
+    order = len(occ.symbols)
 
-    hooks = seq.hook_positions
     if kind.hooked:
         expected_hook = 2 * fold * order
-        if hooks != {expected_hook}:
+        if occ.hooks != 1 or occ.first_hook != expected_hook:
             violations.append(
-                f"hook must sit exactly at position {expected_hook}, found {sorted(hooks)}"
+                f"hook must sit exactly at position {expected_hook}, found {sorted(seq.hook_positions)}"
             )
-    elif hooks:
-        violations.append(f"unexpected hooks at positions {sorted(hooks)}")
+    elif occ.hooks:
+        violations.append(f"unexpected hooks at positions {sorted(seq.hook_positions)}")
 
-    counts = seq.occurrence_counts()
-    for sym, cnt in sorted(counts.items()):
-        if fragment:
-            if cnt % 2 != 0 or not 2 <= cnt <= 2 * fold:
-                violations.append(f"symbol {sym} occurs {cnt} times")
-        elif cnt != 2 * fold:
-            violations.append(f"symbol {sym} occurs {cnt} times, expected {2 * fold}")
+    if occ.fold != fold:
+        for sym, cnt in sorted(seq.occurrence_counts().items()):
+            if fragment:
+                if cnt % 2 != 0 or not 2 <= cnt <= 2 * fold:
+                    violations.append(f"symbol {sym} occurs {cnt} times")
+            elif cnt != 2 * fold:
+                violations.append(f"symbol {sym} occurs {cnt} times, expected {2 * fold}")
 
-    if not fragment:
-        expected_len = 2 * fold * order + len(hooks)
-        if seq.length != expected_len:
-            violations.append(f"length {seq.length}, expected {expected_len}")
+        if not fragment:
+            expected_len = 2 * fold * order + occ.hooks
+            if seq.length != expected_len:
+                violations.append(f"length {seq.length}, expected {expected_len}")
 
-    try:
-        pairs_of(seq)
-    except UnmatchedSymbol as exc:
-        violations.append(str(exc))
+        if not occ.fold:
+            try:
+                pairs_of(seq)
+            except UnmatchedSymbol as exc:
+                violations.append(str(exc))
 
     expected = kind.expected_symbols(order)
-    if expected is not None and seq.symbol_set != expected:
-        extra = sorted(seq.symbol_set - expected)
-        missing = sorted(expected - seq.symbol_set)
+    symbols = frozenset(occ.symbols)
+    if expected is not None and symbols != expected:
+        extra = sorted(symbols - expected)
+        missing = sorted(expected - symbols)
         if extra:
             violations.append(f"symbols outside the kind's set: {extra}")
         if missing:
             violations.append(f"symbols missing from the kind's set: {missing}")
 
     return SequenceReport(ok=not violations, violations=tuple(violations))
-
-
-def _passes(seq: SkolemTypeSequence, kind: SequenceKind) -> bool:
-    """Whether ``validate`` finds no violation, read off the occurrence index.
-
-    A fold from the index means every symbol occurs 2*fold times and pairs,
-    which also fixes the length; the hook and the symbol set remain.
-    """
-    occ = seq.occurrences
-    if occ.fold != kind.fold:
-        return False
-    order = len(occ.symbols)
-    if kind.hooked:
-        if occ.hooks != 1 or occ.first_hook != 2 * occ.fold * order:
-            return False
-    elif occ.hooks:
-        return False
-    expected = kind.expected_symbols(order)
-    return expected is None or frozenset(occ.symbols) == expected
 
 
 def _ensure_valid(
@@ -679,12 +655,10 @@ def gen_power4(x: int, trimmed: bool = False) -> SkolemTypeSequence:
     for r in range(1, x):
         t.add(4 * r, 2 * x - 2 * r - 1, 2 * x + 2 * r - 1)
         t.add(4 * r, 2 * x - 2 * r, 2 * x + 2 * r)
-    seq = t.build(4 * x)
-    kind = SequenceKind("two-fold-skolem-type", symbols=seq.symbol_set)
-    _ensure_valid(seq, kind)
+    seq = _ensure_valid(t.build(4 * x), SequenceKind("two-fold-skolem-type"))
     if trimmed:
         seq = SkolemTypeSequence(seq.entries[:-2])
-        _ensure_valid(seq, SequenceKind("two-fold-skolem-type", symbols=seq.symbol_set), fragment=True)
+        _ensure_valid(seq, SequenceKind("two-fold-skolem-type"), fragment=True)
     return seq
 
 
@@ -703,7 +677,7 @@ def fixed_small_twofold(y: int) -> SkolemTypeSequence:
     if not 0 <= y <= 4:
         raise OutOfRange(f"index must be in [0,4], got {y}")
     seq = SkolemTypeSequence(_SMALL_TWOFOLD[y])
-    return _ensure_valid(seq, SequenceKind("two-fold-skolem-type", symbols=seq.symbol_set))
+    return _ensure_valid(seq, SequenceKind("two-fold-skolem-type"))
 
 
 @_memoised
@@ -749,12 +723,14 @@ def double(seq: SkolemTypeSequence) -> SkolemTypeSequence:
 # ---------------------------------------------------------------------------
 
 
-def exists(kind, order: int | None = None, defect: int | None = None, fold: int | None = None) -> bool:
+def exists(kind, order: int | None = None, defect: int | None = None) -> bool:
     """Exact existence test for the classical sequence families.
 
-    ``kind`` may be a SequenceKind or a tag string.  ``fold`` only applies to
-    the m-fold tags.  Two-fold Langford sequences have no published
-    characterisation, so that tag is rejected.
+    ``kind`` may be a SequenceKind or a tag string: ``skolem``,
+    ``hooked-skolem``, ``langford``, ``hooked-langford``, ``near-skolem``,
+    ``hooked-near-skolem`` or ``two-fold-skolem``.  Two-fold Langford
+    sequences have no published characterisation, so that tag is rejected,
+    as is every other tag.
     """
     if isinstance(kind, SequenceKind):
         tag = kind.tag
@@ -790,16 +766,8 @@ def exists(kind, order: int | None = None, defect: int | None = None, fold: int 
         if m > n:
             raise ValueError(f"near-Skolem defect {m} exceeds order {n}")
         return (r in (0, 1) and m % 2 == 0) or (r in (2, 3) and m % 2 == 1)
-    if tag in ("two-fold-skolem", "m-fold-skolem"):
-        m = 2 if tag == "two-fold-skolem" else (fold or 0)
-        if m < 1:
-            raise ValueError("m-fold kinds need fold >= 1")
-        return r in (0, 1) or m % 2 == 0
-    if tag == "hooked-m-fold-skolem":
-        m = fold or 0
-        if m < 1:
-            raise ValueError("m-fold kinds need fold >= 1")
-        return r in (2, 3) and m % 2 == 1
+    if tag == "two-fold-skolem":
+        return True
     raise UnknownKind(f"no existence rule for kind {tag!r}")
 
 

@@ -224,6 +224,18 @@ def test_fivetuples_edge_union(p):
         assert got == list(range(1, 5 * p)) + [5 * p + 1]
 
 
+def test_fivetuple_sources_index_every_order_to_600():
+    # the base pairs 1..p as fold 1 and the companion, also fold 1, keeps its
+    # right ends off the forbidden cells, so ``fivetuples_shifted`` reads both
+    # off the index and never reaches its fallback (this holds to p = 1500)
+    for p in range(1, 601):
+        base, companion, forbidden = assemble._fivetuple_sources(p)
+        bo, co = base.occurrences, companion.occurrences
+        assert bo.symbols == tuple(range(1, p + 1)) and bo.fold == 1, p
+        assert co.fold == 1, p
+        assert forbidden.isdisjoint(co.lasts), p
+
+
 # -- hexagons -----------------------------------------------------------------
 
 
@@ -245,6 +257,24 @@ def test_hexagon_pairs_structure(n):
     assert len(sums) == len(set(sums))
     top = -(-(3 * n + 3) // 2) - 1
     assert all(n + 1 <= s <= top for s in sums)
+
+
+def test_hexagon_rows_cover_every_hexagon_count():
+    # The C3C6 coverage lemma.  ``label_c3c6(t, h)`` merges the first h pairs
+    # of ``_hexagon_pair_rows(n)``, n = t + 2h; the largest h with
+    # h <= 2t+1 and t >= 1 is min((2n+1)//5, (n-1)//2), so the rows never run
+    # short.  The sums clear the symbols 1..n, each other and, checked to
+    # n = 1200, every shifted right end of the triangles, so no merge clashes.
+    for n in range(1, 6001):
+        pairs = assemble._hexagon_pair_rows(n)
+        assert len(pairs) >= min((2 * n + 1) // 5, (n - 1) // 2), n
+        used = [x for pair in pairs for x in pair]
+        assert len(used) == len(set(used)), n
+        sums = [i + j for i, j in pairs]
+        assert len(sums) == len(set(sums)) and min(sums, default=n + 1) > n, n
+        if n <= 1200:
+            rights = {last + n for last in assemble._triangle_sequence(n).occurrences.lasts}
+            assert rights.isdisjoint(sums[: (2 * n + 1) // 5]), n
 
 
 def test_hexagon_merge_example():

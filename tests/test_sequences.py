@@ -223,12 +223,12 @@ def test_pairs_of_reports_the_first_failing_symbol():
         pairs_of(s)
 
 
-def test_pairs_of_is_cached_on_the_sequence():
+def test_pairs_of_gives_an_equal_pairing_on_every_call():
     s = seq(3, 1, 1, 3, 2, 0, 2)
-    assert pairs_of(s) is pairs_of(s)
+    assert pairs_of(s) == pairs_of(s)
     assert s == seq(3, 1, 1, 3, 2, 0, 2) and hash(s) == hash(seq(3, 1, 1, 3, 2, 0, 2))
     gen = gen_skolem(12)
-    assert pairs_of(gen) is pairs_of(gen)
+    assert pairs_of(gen) == pairs_of(gen)
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,6 +339,40 @@ def assert_index_matches_reference(entries):
         assert all(
             pairs.pairs_for(s) == ((f, f + s), (l - s, l)) for s, f, l in zip(*occ[1:4])
         )
+
+
+def test_validate_pairs_only_what_the_index_leaves_unfolded(monkeypatch):
+    # every generated sequence against its own kind (it passes), the two-fold
+    # ones against "skolem" (they fail) and the trimmed power-of-4 fragments
+    # (they pass; two of them are the fold-1 pair (1, 1))
+    cases = (
+        [(gen_skolem(n), SequenceKind("skolem"), False, True) for n in range(1, 41) if n % 4 in (0, 1)]
+        + [(gen_hooked_skolem(n), SequenceKind("hooked-skolem"), False, True) for n in range(2, 41) if n % 4 in (2, 3)]
+        + [(gen_langford_doubledefect(d), SequenceKind("langford", defect=d), False, True) for d in range(1, 15)]
+        + [
+            (gen_near_skolem_topdefect(n), SequenceKind(("hooked-" if n % 4 == 1 else "") + "near-skolem", defect=n - 1), False, True)
+            for n in range(11, 60, 2)
+        ]
+        + [(gen_twofold_skolem(n), SequenceKind("two-fold-skolem"), False, True) for n in range(1, 31)]
+        + [(gen_twofold_skolem(n), SequenceKind("skolem"), False, False) for n in range(1, 31)]
+        + [(gen_power4(x), SequenceKind("two-fold-skolem-type"), False, True) for x in range(1, 21)]
+        + [(gen_power4(x, trimmed=True), SequenceKind("two-fold-skolem-type"), True, True) for x in range(21)]
+        + [(gen_twofold_langford(k), SequenceKind("two-fold-langford", defect=6 * k - 1), False, True) for k in range(1, 6)]
+        + [(fixed_small_twofold(y), SequenceKind("two-fold-skolem-type"), False, True) for y in range(5)]
+    )
+    paired = []
+    real = sequences.pairs_of
+
+    def counting(s):
+        paired.append(s)
+        return real(s)
+
+    monkeypatch.setattr(sequences, "pairs_of", counting)
+    for s, kind, fragment, ok in cases:
+        assert validate(s, kind, fragment=fragment).ok == ok, (s.entries, kind)
+    unfolded = [s for s, *_ in cases if s.occurrences.fold == 0]
+    assert len(unfolded) == 20  # 19 trimmed fragments and the empty small sequence
+    assert [s.entries for s in paired] == [s.entries for s in unfolded]
 
 
 def test_index_fold_two_needs_distinct_middle_cells():
@@ -542,9 +576,10 @@ def test_exists_table_rows():
     assert not exists("near-skolem", 7, defect=3)
     assert exists("hooked-near-skolem", 7, defect=3)
     assert exists("two-fold-skolem", 6)
-    assert exists("m-fold-skolem", 6, fold=4)
-    assert not exists("m-fold-skolem", 6, fold=3)
-    assert exists("hooked-m-fold-skolem", 6, fold=3)
+    for tag in ("m-fold-skolem", "hooked-m-fold-skolem"):
+        with pytest.raises(UnknownKind):
+            exists(tag, 6)
+    assert all(exists("two-fold-skolem", n) for n in range(1, 201))
     assert not exists(SequenceKind("langford", defect=2), 5)  # kind objects work too
     with pytest.raises(UnknownKind):
         exists("two-fold-langford", 3, defect=5)
