@@ -12,6 +12,7 @@ Positions are 1-based everywhere; only the storage boundary converts.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -787,7 +788,11 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
     """A Langford sequence with defect d and order l.
 
     Orders 2d-1 come from the closed-form table.  Larger admissible orders are
-    found by ``_search_pairs``; the first solution is memoised.
+    found by ``_search_pairs``, a seeded restarted search, so the result
+    depends on ``(d, l)`` only; it is memoised.  The search builds every
+    admissible order for ``d <= 20, l <= 4d + 4``, but at orders just above
+    ``2d - 1`` with larger ``d``, such as ``(26, 52)`` and ``(30, 60)``, it
+    raises SearchBudgetExhausted.
     """
     if not exists("langford", order=l, defect=d):
         raise NoSuchSequence(f"no Langford sequence with defect {d} and order {l}")
@@ -811,20 +816,39 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
     return _ensure_valid(seq, SequenceKind("langford", defect=d))
 
 
-# Placements one _search_pairs call may make before it gives up.  The largest
-# search the benchmark and the tests run, langford_sequence(13, 32) for
-# c3=32,c5=12, needs 84,467.
+# Placements one _search_pairs call may make, summed over all its runs, before
+# it gives up.  The largest search the tests run, langford_sequence(20, 40) for
+# c3=40,c5=19, takes 206,282 placements in 983 runs.
 _SEARCH_NODE_BUDGET = 1_000_000
+# Placements each run may make.  The first run is the unshuffled search, so a
+# cell it solves within its cutoff keeps its sequence: 10,000 is above the 6,255
+# that the C3C5 cells with p <= 8, t <= 2p + 9 need at most.  On the 56 cells
+# with p <= 12, 2p + 1 <= t <= 4p + 8 that the first run leaves, 200 per later
+# run took the fewest placements in the median over seeds of the cutoffs from
+# 100 to 1,000 tried.
+_FIRST_RUN_CUTOFF = 10_000
+_RESTART_CUTOFF = 200
+
+
+class _Cutoff(Exception):
+    """A run of ``_search_pairs`` reached its cutoff."""
 
 
 def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
     """Place one pair of every symbol so that the pairs tile positions 1..length.
 
-    A deterministic backtracking search: it branches on the most constrained
-    empty cell (the lowest of those with fewest options), and tries the largest
-    symbol first, then the leftmost position.  Returns the entries of the first
-    tiling found, or None when none exists.  Raises SearchBudgetExhausted after
-    ``_SEARCH_NODE_BUDGET`` placements.
+    A backtracking search with restarts (Gomes, Selman and Kautz 1998).  Every
+    run branches on the most constrained empty cell (the lowest of those with
+    fewest options).  The first run tries the largest symbol first, then the
+    leftmost position, and stops after ``_FIRST_RUN_CUTOFF`` placements.  Each
+    later run shuffles the branches of every cell it visits, with a generator
+    seeded from the lowest symbol and the length only, and stops after
+    ``_RESTART_CUTOFF``.  Returns the entries of the first tiling found, or None
+    when a run exhausts its tree: the cell a node branches on does not depend
+    on the branch order, so every run searches the same tree.  Raises
+    SearchBudgetExhausted once the runs together pass ``_SEARCH_NODE_BUDGET``
+    placements, so under a budget below the first cutoff only the first run
+    runs.
 
     The state is three int bitmasks: ``free`` has bit ``i`` set while cell
     ``i+1`` is empty, ``rev`` is its mirror (bit ``top-i``, ``top = length-1``)
@@ -835,7 +859,9 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
     """
     top = length - 1
     entries = [0] * length
-    nodes = 0
+    budget = _SEARCH_NODE_BUDGET
+    nodes = limit = 0
+    rng = None
 
     def fill(free: int, rev: int, rem: int) -> bool:
         nonlocal nodes
@@ -862,18 +888,39 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
         as_left = (free >> best) & rem
         as_right = (rev >> (top - best)) & rem
         options = as_left | as_right
+        order = None
+        if rng is not None:
+            # a shuffled run tries the symbols in random order, each end first
+            # as a random bit says
+            order = []
+            flips = rng.getrandbits(best_count)
+            scan = options
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                sym = low.bit_length() - 1
+                sides = ((best - sym, as_right), (best, as_left))
+                order.append((sym, sides[::-1] if flips & 1 else sides))
+                flips >>= 1
+            rng.shuffle(order)
         while options:
-            sym = options.bit_length() - 1
+            if order is None:
+                sym = options.bit_length() - 1
+                sides = ((best - sym, as_right), (best, as_left))
+            else:
+                sym, sides = order.pop()
             bit = 1 << sym
             options ^= bit
-            for a, fits in ((best - sym, as_right), (best, as_left)):
+            for a, fits in sides:
                 if not fits & bit:
                     continue
                 nodes += 1
-                if nodes > _SEARCH_NODE_BUDGET:
-                    raise SearchBudgetExhausted(
-                        f"pair search on {length} cells passed {_SEARCH_NODE_BUDGET} placements"
-                    )
+                if nodes > limit:
+                    if nodes > budget:
+                        raise SearchBudgetExhausted(
+                            f"pair search on {length} cells passed {budget} placements"
+                        )
+                    raise _Cutoff
                 b = a + sym
                 entries[a] = entries[b] = sym
                 cells = (1 << a) | (1 << b)
@@ -887,4 +934,14 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
     for sym in symbols:
         rem |= 1 << sym
     full = (1 << length) - 1
-    return tuple(entries) if fill(full, full, rem) else None
+    cutoff = _FIRST_RUN_CUTOFF
+    while True:
+        limit = min(nodes + cutoff, budget)
+        try:
+            return tuple(entries) if fill(full, full, rem) else None
+        except _Cutoff:
+            nodes = limit
+            entries = [0] * length
+            if rng is None:
+                rng = random.Random(min(symbols) * 100003 + length // 2)
+                cutoff = _RESTART_CUTOFF

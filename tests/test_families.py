@@ -554,6 +554,30 @@ def test_label_c3c5_grid(p):
     assert covered == 5  # half the residue grid, see the labelling bound
 
 
+def test_label_c3c5_every_admissible_cell_to_p_12(monkeypatch):
+    # the unshuffled first run alone passes the whole budget on 36 of these
+    # cells; with the restarts each is built within a tenth of it
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100_000)
+    sequences.langford_sequence.cache_clear()
+    cells = [
+        (t, p)
+        for p in range(1, 13)
+        for t in range(2 * p + 1, 4 * p + 9)
+        if sequences.exists("langford", order=t, defect=p + 1)
+    ]
+    assert len(cells) == 132
+    for t, p in cells:
+        lab = label_c3c5(t, p)
+        assert verify(lab).ok and lab.mode == expected_mode(lab.spec), (t, p)
+
+
+def test_label_c3c5_tight_cell_under_the_budget():
+    # (d, l) = (20, 40): the first run and 981 shuffled runs fail, and the next succeeds
+    sequences.langford_sequence.cache_clear()
+    lab = label_c3c5(40, 19)
+    assert verify(lab).ok and lab.mode == expected_mode(lab.spec)
+
+
 # -- triangle + hexagon -------------------------------------------------------
 
 

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -745,19 +749,56 @@ def test_search_pairs_node_count_pinned(monkeypatch):
         sequences._search_pairs(range(9, 33), 48)
 
 
+def test_restarted_search_node_count_pinned(monkeypatch):
+    # (13, 32) passes the first run's cutoff and is found in the fifth run; the
+    # budget counts the placements of every run
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 10_675)
+    assert validate(
+        SkolemTypeSequence(sequences._search_pairs(range(13, 45), 64)),
+        SequenceKind("langford", defect=13),
+    ).ok
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 10_674)
+    with pytest.raises(SearchBudgetExhausted, match="pair search on 64 cells passed 10674 placements"):
+        sequences._search_pairs(range(13, 45), 64)
+
+
 @pytest.mark.parametrize(
     "d, l, digest",
     [
-        (13, 32, "6d4d1ba4b2e74cdd50c0d641d4c4746af973a6c6b459909251792ca30e8a9ba9"),
-        (14, 28, "518552955f5d637118d3ca7e40f2934285e8d05984f8d894963312ef3fec659d"),
-        (15, 36, "5775742fd8ba5fdeb03843b8c4cb1358fd947ade12b7178841178be54969aa0d"),
+        (13, 32, "f323dfb82b6cd3f7b3e8f53d8f323b239fafe0933ec08291b141e51793e3d0c1"),
+        (14, 28, "18eb6d55860d4edeaea852fb47f3b382b20000b9b7b6b292bc3afd8c0c995681"),
+        (15, 36, "ee62af6a5020f376d7d7873d5051083f3aa1da4f73558df8a65efd9e6a5f3548"),
     ],
+    ids=["13-32", "14-28", "15-36"],
 )
 def test_langford_search_entries_pinned(d, l, digest):
-    # the three longest searches of label_c3c5's benchmark cells (c3=l, c5=d-1)
+    # the three searches of label_c3c5's benchmark cells (c3=l, c5=d-1) that
+    # pass the first run's cutoff, and so come from a shuffled run
     langford_sequence.cache_clear()
     entries = langford_sequence(d, l).to_text().encode()
     assert hashlib.sha256(entries).hexdigest() == digest
+
+
+def test_langford_search_is_deterministic_across_processes():
+    # the shuffled runs are seeded from (d, l) alone, so neither the hash seed
+    # nor what ran before in the process changes the sequence
+    langford_sequence.cache_clear()
+    here = langford_sequence(13, 32).to_text()
+    src = str(Path(sequences.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1",
+    )
+    code = (
+        "from windmills.sequences import langford_sequence\n"
+        "langford_sequence.cache_clear()\n"
+        "print(langford_sequence(13, 32).to_text())\n"
+    )
+    there = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert there.strip() == here
 
 
 def test_parse_sequence_roundtrip():
