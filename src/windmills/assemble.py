@@ -14,7 +14,6 @@ from .errors import (
     LabelClash,
     MissingTriple,
     OutOfRange,
-    PreconditionFailed,
     ShiftTooSmall,
 )
 from .sequences import (
@@ -101,9 +100,9 @@ _FIVETUPLE_LITERALS = {
     3: [(0, 15, 1, 14, 12), (0, 5, 6, 3, 10), (0, 9, 13, 2, 8)],
 }
 
-# Hand-searched companion sequences for the two small orders whose closed-form
-# companions do not exist: symbol sets match the hooked base's position set,
-# with no right endpoint at a base hook-adjacent position.
+# Hand-searched companion sequences for p = 2, 3, below the near-Skolem tables'
+# first order 11: symbol sets match the hooked base's position set, with no
+# right endpoint in F(p) (see ``_fivetuple_sources``).
 _SMALL_COMPANIONS = {
     2: (5, 3, 1, 1, 3, 5, 2, 0, 2),
     3: (2, 4, 2, 7, 5, 4, 1, 1, 3, 5, 7, 3),
@@ -116,53 +115,55 @@ def _triangle_sequence(n: int) -> SkolemTypeSequence:
     return gen_skolem(n) if n % 4 in (0, 1) else gen_hooked_skolem(n)
 
 
-def _fivetuple_sources(p: int):
-    """Base sequence, companion pairing and forbidden right-endpoint cells."""
-    k = p % 4
+def _fivetuple_sources(p: int) -> tuple[SkolemTypeSequence, SkolemTypeSequence]:
+    """The base sequence and its companion, whose right ends give the 5-cycles.
+
+    The base is the triangle sequence of order p.  The companion is the one of
+    order 2p, Skolem at p = 0 and hooked at p = 1 (mod 4), or the near-Skolem
+    sequence of order 2p+1 omitting 2p at p = 2, 3 (mod 4).
+
+    Lemma: for every p >= 1 the companion pairs as fold 1 on exactly the
+    base's non-hook cells, and none of its right ends lies in F(p), which is
+    [1, p] when p = 0, 1 (mod 4) and [1, p-1] + {p+1} when p = 2, 3 (mod 4).
+
+    Cells: each generator validates its kind, and so do the two rows of
+    ``_SMALL_COMPANIONS``, so the symbols are 1..2p, or 1..2p+1 without 2p;
+    these are the base's cells, without its hook at 2p when it has one.
+    Right ends: F(p) lies in [1, p+1].  In symbol order they are 2, 5 at
+    p = 1, 4, 9, 5, 6 at p = 2 and 8, 3, 12, 6, 10, 11 at p = 3.  At p >= 4
+    the rows of one table give them, in order, as ranges in m:
+
+      p = 2m, _skolem_0mod4(m), m >= 2: [2m+2, 4m+1], 7m+1, 6m, [7m+2, 8m],
+        6m+1, [6m+2, 7m-1];
+      p = 2m+1, _hooked_2mod4(m), m >= 2: [2m+3, 4m+3], 7m+5, [6m+4, 7m+3],
+        8m+5, [7m+6, 8m+3], 6m+3;
+      p = 2m, _near_hooked_1mod4(m), m >= 3: [2m+3, 4m+2], 6m-2, 6m-1,
+        [7m, 8m-3], [6m+1, 7m-3], 8m-2, 7m-1, 8m+1;
+      p = 2m+1, _near_plain_3mod4(m), m >= 3: [2m+4, 4m+4], 6m+2, 6m+1,
+        [7m+4, 8m+1], [6m+4, 7m+1], 7m+3, 8m+3, 8m+4.
+
+    The first row starts at p+2, p+2, p+3 and p+3, and every later right end is
+    at least 6m-2 >= 2m+4 >= p+3.  ``tests/test_assemble.py`` checks each step.
+    """
     base = _triangle_sequence(p)
-    if k == 0:
-        companion = gen_skolem(2 * p)
-        forbidden = set(range(1, p + 1))
-    elif k == 1:
-        companion = gen_hooked_skolem(2 * p)
-        forbidden = set(range(1, p + 1))
-    else:
-        if p in _SMALL_COMPANIONS:
-            companion = SkolemTypeSequence(_SMALL_COMPANIONS[p])
-        else:
-            companion = gen_near_skolem_topdefect(2 * p + 1)
-        forbidden = set(range(1, p)) | {p + 1}
-    return base, companion, forbidden
+    if p % 4 in (0, 1):
+        return base, _triangle_sequence(2 * p)
+    if p in _SMALL_COMPANIONS:
+        return base, SkolemTypeSequence(_SMALL_COMPANIONS[p])
+    return base, gen_near_skolem_topdefect(2 * p + 1)
 
 
 def fivetuples_shifted(p: int, shift: int) -> list[tuple[int, int, int, int, int]]:
     """5-cycle vanes (0, D_b + shift, b, a, D_a + shift) for every base pair.
 
     (a, b) runs over the base sequence's pairs; D_x is the right endpoint of
-    symbol x in the companion sequence.  The companion must keep its right
-    endpoints off a prefix of cells so that D + shift clears the base values.
+    symbol x in the companion.  Both pair as fold 1 by the lemma of
+    ``_fivetuple_sources``, so their index columns are their pairs.
     """
-    base, companion, forbidden = _fivetuple_sources(p)
+    base, companion = _fivetuple_sources(p)
     bo, co = base.occurrences, companion.occurrences
-    if (
-        bo.fold == co.fold == 1
-        and bo.symbols == tuple(range(1, p + 1))
-        and forbidden.isdisjoint(co.lasts)
-    ):
-        right = dict(zip(co.symbols, co.lasts))
-        base_pairs = zip(bo.firsts, bo.lasts)
-    else:
-        # Pair symbol by symbol to raise the first failure.
-        base_set, comp_pairs = pairs_of(base), pairs_of(companion)
-        right = {}
-        for sym in comp_pairs.symbols:
-            _, right[sym] = comp_pairs.single(sym)
-            if right[sym] in forbidden:
-                raise PreconditionFailed(
-                    f"companion for p={p} has a right endpoint at cell {right[sym]}"
-                )
-        base_pairs = map(base_set.single, range(1, p + 1))
-    return [(0, right[b] + shift, b, a, right[a] + shift) for a, b in base_pairs]
+    right = dict(zip(co.symbols, co.lasts))
+    return [(0, right[b] + shift, b, a, right[a] + shift) for a, b in zip(bo.firsts, bo.lasts)]
 
 
 def fivetuples_c5(p: int) -> list[tuple[int, int, int, int, int]]:
@@ -179,27 +180,35 @@ def fivetuples_c5(p: int) -> list[tuple[int, int, int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
+# Per n mod 5, the offsets (a, b, c) of the rows (k+z+a, 4k+z+b) and (2k+z+a, 3k+z+b), z < k+c.
+_HEXAGON_ROWS = (
+    ((0, 1, 0), (1, 1, 0)),
+    ((1, 1, 1), (2, 1, -1)),
+    ((1, 2, 1), (2, 2, 0)),
+    ((1, 3, 1), (2, 3, 0)),
+    ((1, 4, 1), (3, 3, 0)),
+)
+
+
 def _hexagon_pair_rows(n: int) -> list[tuple[int, int]]:
-    # Residue-class pair families (i, j); sums i+j are pairwise distinct and
-    # sit strictly between n and the smallest shifted right endpoint.
+    """Two rows of residue-class pairs (i, j) whose sums i+j are distinct.
+
+    The sums sit strictly between n and the smallest shifted right endpoint
+    of the triangles (checked for n <= 1200, not proved).
+
+    Row-count lemma: for every n >= 1 there are exactly (2n+1)//5 pairs, so
+    ``label_c3c6(t, h)``, which merges the first h with n = t+2h, never runs
+    short: h <= 2t+1 and t >= 1 give h <= min((2n+1)//5, (n-1)//2).  Proof,
+    with n = 5k+r, by ``_HEXAGON_ROWS``: the rows have k+1 and k pairs (k at
+    r = 0, k-1 at r = 1), which is (2n+1)//5; j-i is 3k+b-a in the first row
+    and k+b-a in the second, both positive in a non-empty row except (1, 1)
+    at n = 1, and j ends at n in the first row and below n in the second.
+    """
     k, r = divmod(n, 5)
-    pairs: list[tuple[int, int]] = []
-    if r == 0:
-        pairs += [(k + z, 4 * k + z + 1) for z in range(k)]
-        pairs += [(2 * k + z + 1, 3 * k + z + 1) for z in range(k)]
-    elif r == 1:
-        pairs += [(k + z + 1, 4 * k + z + 1) for z in range(k + 1)]
-        pairs += [(2 * k + z + 2, 3 * k + z + 1) for z in range(k - 1)]
-    elif r == 2:
-        pairs += [(k + z + 1, 4 * k + z + 2) for z in range(k + 1)]
-        pairs += [(2 * k + z + 2, 3 * k + z + 2) for z in range(k)]
-    elif r == 3:
-        pairs += [(k + z + 1, 4 * k + z + 3) for z in range(k + 1)]
-        pairs += [(2 * k + z + 2, 3 * k + z + 3) for z in range(k)]
-    else:
-        pairs += [(k + z + 1, 4 * k + z + 4) for z in range(k + 1)]
-        pairs += [(2 * k + z + 3, 3 * k + z + 3) for z in range(k)]
-    return [(i, j) for i, j in pairs if 1 <= i <= n and 1 <= j <= n and i != j]
+    (a1, b1, c1), (a2, b2, c2) = _HEXAGON_ROWS[r]
+    pairs = [(k + z + a1, 4 * k + z + b1) for z in range(k + c1)]
+    pairs += [(2 * k + z + a2, 3 * k + z + b2) for z in range(k + c2)]
+    return [(i, j) for i, j in pairs if i != j]  # drops (1, 1) at n = 1
 
 
 def hexagon_pairs(n: int) -> list[tuple[int, int]]:

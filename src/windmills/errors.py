@@ -49,10 +49,6 @@ class BoundViolation(WindmillError):
     """A shift/order bound needed for distinct labels does not hold."""
 
 
-class PreconditionFailed(WindmillError):
-    """A structural precondition that should hold by construction failed."""
-
-
 class LabelClash(WindmillError):
     """A merge would introduce a vertex label that is already in use."""
 

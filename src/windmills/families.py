@@ -209,9 +209,7 @@ def _composite_rule(t: int, s: int) -> tuple[str, dict] | None:
     x = (s - (2 * t - 3)) // 9
     if x < 1 or t < 2 * x - 3:
         return None
-    off = s - (2 * t + 9 * x - 3)
-    if not 0 <= off <= 8:  # pragma: no cover - arithmetic guarantee
-        return None
+    off = s - (2 * t + 9 * x - 3)  # (s - (2t - 3)) mod 9, so 0 <= off <= 8
     if off < 4:
         rule, y, defect = "composite-low", off, t + 4 * x - 1
     else:
@@ -322,8 +320,6 @@ def _build_c3c4(plan: ConstructionTrace) -> Labelling:
     if plan.children:
         return extend_c3c4(_build_c3c4(plan.children[0]), params["k"])
     quads = quadruples_from_twofold(_SQUARE_BLOCKS[rule](params), c=t)
-    if len(quads) != s:  # pragma: no cover - arithmetic guarantee
-        raise InvalidSequence(f"composite gave {len(quads)} squares, wanted {s}")
     tris = triples_from_pairs(_triangle_sequence(t), c=4 * s + t, variant=1)
     spec = WindmillSpec.of((3, t), (4, s))
     return _checked(Labelling(spec, tris + quads, expected_mode(spec)))
@@ -437,18 +433,18 @@ def label_c3c5(t: int, p: int) -> Labelling:
 
 
 def label_c3c6(t: int, h: int) -> Labelling:
-    """Triangles plus hexagons by merging triangle pairs around their symbol sum."""
+    """Triangles plus hexagons by merging triangle pairs around their symbol sum.
+
+    By the lemma of ``assemble._hexagon_pair_rows`` every h <= 2t+1 has its pairs.
+    """
     if t < 1 or h < 0:
         raise OutOfRange(f"need t >= 1 and h >= 0, got ({t}, {h})")
     if h > 2 * t + 1:
         raise TooManyHexagons(f"h={h} exceeds the bound 2t+1={2 * t + 1}")
     n = t + 2 * h
     triangles = triples_from_pairs(_triangle_sequence(n), c=n, variant=2)
-    pair_pool = _hexagon_pair_rows(n)
-    if len(pair_pool) < h:  # pragma: no cover - h bound; test_hexagon_rows_cover_every_hexagon_count
-        raise TooManyHexagons(f"only {len(pair_pool)} mergeable pairs for n={n}")
     # the triangles that no merge consumed come first, then the hexagons
-    vanes = merge_hexagons(triangles, pair_pool[:h])
+    vanes = merge_hexagons(triangles, _hexagon_pair_rows(n)[:h])
     spec = WindmillSpec.of((3, t), (6, h)) if h else WindmillSpec.of((3, t))
     return _checked(Labelling(spec, vanes, expected_mode(spec)))
 

@@ -799,7 +799,8 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
     if l == 2 * d - 1:
         return gen_langford_doubledefect(d)
     if l >= 8 * d - 4:
-        # Very long orders split into a closed-form head and a searched tail.
+        # Very long orders split into a closed-form head and a searched tail; if
+        # the tail does not exist or runs out of budget, the whole order is searched.
         tail_d, tail_l = 3 * d - 1, l - (2 * d - 1)
         try:
             if exists("langford", order=tail_l, defect=tail_d):
@@ -807,7 +808,7 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
                 tail = langford_sequence(tail_d, tail_l)
                 seq = concat([head, tail])
                 return _ensure_valid(seq, SequenceKind("langford", defect=d))
-        except NoSuchSequence:
+        except (NoSuchSequence, SearchBudgetExhausted):
             pass
     entries = _search_pairs(range(d, d + l), 2 * l)
     if entries is None:

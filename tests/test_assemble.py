@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windmills import assemble, families
+from windmills import assemble, families, sequences
 from windmills.assemble import (
     fivetuples_c5,
     fivetuples_shifted,
@@ -17,15 +17,14 @@ from windmills.assemble import (
 )
 from windmills.errors import (
     BoundViolation,
+    InvalidSequence,
     LabelClash,
     MissingTriple,
     OutOfRange,
-    PreconditionFailed,
     ShiftTooSmall,
 )
 from windmills.sequences import (
     SkolemTypeSequence,
-    double,
     exists,
     fixed_small_twofold,
     gen_hooked_skolem,
@@ -225,15 +224,133 @@ def test_fivetuples_edge_union(p):
 
 
 def test_fivetuple_sources_index_every_order_to_600():
-    # the base pairs 1..p as fold 1 and the companion, also fold 1, keeps its
-    # right ends off the forbidden cells, so ``fivetuples_shifted`` reads both
-    # off the index and never reaches its fallback (this holds to p = 1500)
+    # the lemma as stated, scanned: the base pairs 1..p as fold 1, and the
+    # companion pairs as fold 1 on the base's non-hook cells with no right end
+    # in F(p), so ``fivetuples_shifted`` reads both off the index
     for p in range(1, 601):
-        base, companion, forbidden = assemble._fivetuple_sources(p)
+        base, companion = assemble._fivetuple_sources(p)
         bo, co = base.occurrences, companion.occurrences
         assert bo.symbols == tuple(range(1, p + 1)) and bo.fold == 1, p
-        assert co.fold == 1, p
-        assert forbidden.isdisjoint(co.lasts), p
+        assert co.fold == 1 and set(co.symbols) == non_hook_cells(base), p
+        assert forbidden_cells(p).isdisjoint(co.lasts), p
+
+
+# -- the C5 companion lemma, step by step (``assemble._fivetuple_sources``) -------
+
+
+def forbidden_cells(p):
+    return set(range(1, p + 1)) if p % 4 in (0, 1) else set(range(1, p)) | {p + 1}
+
+
+def non_hook_cells(seq):
+    return set(range(1, seq.length + 1)) - seq.hook_positions
+
+
+# p mod 4 -> the companion's row table, p as a function of its m, the least m
+# used, the first right end's offset above p, and each row's right ends in
+# table order as (first, step, count), as the lemma reads them
+COMPANION_TABLES = {
+    0: (sequences._skolem_0mod4, lambda m: 2 * m, 2, 2, lambda m: [
+        (2 * m + 2, 1, 2 * m), (7 * m + 1, 1, 1), (6 * m, 1, 1),
+        (7 * m + 2, 1, m - 1), (6 * m + 1, 1, 1), (7 * m - 1, -1, m - 2),
+    ]),
+    1: (sequences._hooked_2mod4, lambda m: 2 * m + 1, 2, 2, lambda m: [
+        (2 * m + 3, 1, 2 * m + 1), (7 * m + 5, 1, 1), (6 * m + 4, 1, m),
+        (8 * m + 5, 1, 1), (7 * m + 6, 1, m - 2), (6 * m + 3, 1, 1),
+    ]),
+    2: (sequences._near_hooked_1mod4, lambda m: 2 * m, 3, 3, lambda m: [
+        (2 * m + 3, 1, 2 * m), (6 * m - 2, 1, 1), (6 * m - 1, 1, 1),
+        (7 * m, 1, m - 2), (6 * m + 1, 1, m - 3),
+        (8 * m - 2, 1, 1), (7 * m - 1, 1, 1), (8 * m + 1, 1, 1),
+    ]),
+    3: (sequences._near_plain_3mod4, lambda m: 2 * m + 1, 3, 3, lambda m: [
+        (2 * m + 4, 1, 2 * m + 1), (6 * m + 2, 1, 1), (6 * m + 1, 1, 1),
+        (7 * m + 4, 1, m - 2), (6 * m + 4, 1, m - 2),
+        (7 * m + 3, 1, 1), (8 * m + 3, 1, 1), (8 * m + 4, 1, 1),
+    ]),
+}
+
+
+def test_c5_companion_comes_from_one_row_table():
+    # p <= 3: the hooked fixture of order 2 and the two small companions
+    assert assemble._fivetuple_sources(1)[1] == gen_hooked_skolem(2)
+    for p in (2, 3):
+        assert assemble._fivetuple_sources(p)[1].entries == assemble._SMALL_COMPANIONS[p]
+    for p in range(4, 401):
+        table, p_of, m_min, _, _ = COMPANION_TABLES[p % 4]
+        m = p // 2
+        assert p_of(m) == p and m >= m_min, p
+        assert assemble._fivetuple_sources(p)[1] == table(m), p
+
+
+def test_c5_companion_pairs_on_the_base_cells():
+    for p in range(1, 401):
+        base, companion = assemble._fivetuple_sources(p)
+        assert companion.occurrences.fold == 1, p
+        assert set(companion.occurrences.symbols) == non_hook_cells(base), p
+        cells = set(range(1, 2 * p + 1)) if p % 4 in (0, 1) else set(range(1, 2 * p + 2)) - {2 * p}
+        assert non_hook_cells(base) == cells, p
+
+
+def test_c5_small_companions_miss_the_forbidden_cells():
+    rights = {1: (2, 5), 2: (4, 9, 5, 6), 3: (8, 3, 12, 6, 10, 11)}
+    for p, lasts in rights.items():
+        assert assemble._fivetuple_sources(p)[1].occurrences.lasts == lasts
+        assert forbidden_cells(p).isdisjoint(lasts), p
+
+
+def test_c5_companion_rows_read_as_the_lemma_says(monkeypatch):
+    added = []
+    add = sequences._PairBuilder.add
+    monkeypatch.setattr(
+        sequences._PairBuilder, "add", lambda self, sym, a, b: (added.append(b), add(self, sym, a, b))
+    )
+    for table, _, m_min, _, rows in COMPANION_TABLES.values():
+        for m in range(m_min, 150, 2):  # the m of every p the table serves
+            added.clear()
+            table(m)
+            assert added == [first + step * i for first, step, count in rows(m) for i in range(count)]
+
+
+def lowest_right_ends(rows):
+    # affine in m, since the sign of each row's step does not depend on m
+    return [first if step > 0 else first + step * (count - 1) for first, step, count in rows]
+
+
+def test_c5_companion_rows_clear_p_plus_1():
+    # an affine f with 0 <= f(m_min) <= f(m_min + 1) is >= 0 for every m >= m_min
+    for table, p_of, m_min, offset, rows in COMPANION_TABLES.values():
+        for m in (m_min, m_min + 1):
+            assert lowest_right_ends(rows(m))[0] == p_of(m) + offset, table.__name__
+
+        def margins(m):
+            later = lowest_right_ends(rows(m))[1:]
+            return [low - (6 * m - 2) for low in later] + [6 * m - 2 - (p_of(m) + 3)]
+
+        assert all(0 <= a <= b for a, b in zip(margins(m_min), margins(m_min + 1))), table.__name__
+        assert offset >= 2
+    # so every right end is at least p + 2, above F(p)
+    assert all(max(forbidden_cells(p)) <= p + 1 for p in range(1, 100))
+
+
+@pytest.mark.parametrize("p", [5, 6, 9, 10])
+def test_fivetuples_broken_companion_fails_verification(monkeypatch, p):
+    # The reversed companion keeps its symbols but puts a right end in F(p),
+    # so the 5-cycles are not graceful and ``_checked`` refuses the labelling.
+    # (At p = 0, 3 mod 4 it happens to give another graceful C3C5 labelling.)
+    sources = assemble._fivetuple_sources
+
+    def reversed_companion(q):
+        base, companion = sources(q)
+        return base, SkolemTypeSequence(companion.entries[::-1])
+
+    monkeypatch.setattr(assemble, "_fivetuple_sources", reversed_companion)
+    assert not forbidden_cells(p).isdisjoint(reversed_companion(p)[1].occurrences.lasts)
+    with pytest.raises(InvalidSequence):
+        families.label_c5(p)
+    t = next(t for t in range(2 * p + 1, 4 * p + 9) if exists("langford", order=t, defect=p + 1))
+    with pytest.raises(InvalidSequence):
+        families.label_c3c5(t, p)
 
 
 # -- hexagons -----------------------------------------------------------------
@@ -259,12 +376,42 @@ def test_hexagon_pairs_structure(n):
     assert all(n + 1 <= s <= top for s in sums)
 
 
+# -- the C3C6 row-count lemma, step by step (``assemble._hexagon_pair_rows``) ------
+
+
+def test_hexagon_row_count_by_residue():
+    # n = 5k + r: the first row has k + 1 pairs (k at r = 0) and the second k
+    # (k - 1 at r = 1); each row keeps one difference j - i, which tells them
+    # apart, the largest j is n, and the filter drops a pair only at n = 1
+    assert assemble._hexagon_pair_rows(1) == []
+    for n in range(2, 2001):
+        k, r = divmod(n, 5)
+        pairs = assemble._hexagon_pair_rows(n)
+        rows = [k + (r != 0), k - (r == 1)]
+        assert sorted(Counter(j - i for i, j in pairs).values()) == sorted(c for c in rows if c), n
+        assert all(1 <= i < j <= n for i, j in pairs) and max(j for _, j in pairs) == n, n
+        assert len(pairs) == sum(rows) == (2 * n + 1) // 5, n
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 10**5))
+def test_hexagon_row_count_at_scale(n):
+    assert len(assemble._hexagon_pair_rows(n)) == (2 * n + 1) // 5
+
+
+@given(st.integers(1, 10**9), st.data())
+def test_hexagon_bound_needs_no_more_rows(t, data):
+    h = data.draw(st.integers(0, 2 * t + 1))
+    n = t + 2 * h
+    assert 5 * h <= 2 * n + 1 and 2 * h <= n - 1
+    assert h <= min((2 * n + 1) // 5, (n - 1) // 2) <= (2 * n + 1) // 5
+
+
 def test_hexagon_rows_cover_every_hexagon_count():
-    # The C3C6 coverage lemma.  ``label_c3c6(t, h)`` merges the first h pairs
-    # of ``_hexagon_pair_rows(n)``, n = t + 2h; the largest h with
-    # h <= 2t+1 and t >= 1 is min((2n+1)//5, (n-1)//2), so the rows never run
-    # short.  The sums clear the symbols 1..n, each other and, checked to
-    # n = 1200, every shifted right end of the triangles, so no merge clashes.
+    # ``label_c3c6(t, h)`` merges the first h pairs of ``_hexagon_pair_rows(n)``,
+    # n = t + 2h; the row-count lemma above gives enough pairs.  The sums clear
+    # the symbols 1..n, each other and, checked to n = 1200, every shifted right
+    # end of the triangles, so no merge clashes (this half is not proved).
     for n in range(1, 6001):
         pairs = assemble._hexagon_pair_rows(n)
         assert len(pairs) >= min((2 * n + 1) // 5, (n - 1) // 2), n
@@ -439,13 +586,9 @@ def reference_quadruples(seq, c):
 
 
 def reference_fivetuples(p, shift):
-    base, companion, forbidden = assemble._fivetuple_sources(p)
+    base, companion = assemble._fivetuple_sources(p)
     base_pairs = pairs_of(base)
     comp_pairs = pairs_of(companion)
-    for sym in comp_pairs.symbols:
-        _, right = comp_pairs.single(sym)
-        if right in forbidden:
-            raise PreconditionFailed(f"companion for p={p} has a right endpoint at cell {right}")
     tuples = []
     for i in range(1, p + 1):
         a, b = base_pairs.single(i)
@@ -532,20 +675,3 @@ def test_vane_builders_match_reference_on_placed_pairs(placements, c):
     while entries and not entries[-1]:
         entries.pop()  # no hooks, so the squares get past the hook check
     assert_builders_match(SkolemTypeSequence(tuple(entries)), c)
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda base, comp, forbidden: (base, comp, forbidden | {max(comp.occurrences.lasts)}),
-        lambda base, comp, forbidden: (base, double(comp) if not comp.is_hooked else comp, forbidden),
-        lambda base, comp, forbidden: (SkolemTypeSequence((2, 0, 2)), comp, forbidden),
-        lambda base, comp, forbidden: (base, SkolemTypeSequence((1, 1)), forbidden),
-    ],
-    ids=["forbidden-cell", "twofold-companion", "base-symbols", "small-companion"],
-)
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 9])
-def test_fivetuples_failures_match_reference(monkeypatch, change, p):
-    sources = assemble._fivetuple_sources
-    monkeypatch.setattr(assemble, "_fivetuple_sources", lambda q: change(*sources(q)))
-    assert built(fivetuples_shifted, p, p) == built(reference_fivetuples, p, p)

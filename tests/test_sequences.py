@@ -626,6 +626,33 @@ def test_langford_sequence_long_order_split():
     )
 
 
+def test_long_order_split_searches_directly_when_the_tail_runs_out(monkeypatch):
+    # Under 50,000 placements the tails (26, 52), (29, 60) and (29, 61) run
+    # out, and the whole orders are then found directly within their own budget.
+    monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 50_000)
+    langford_sequence.cache_clear()
+    search = sequences._search_pairs
+    searched = []
+
+    def recorded(symbols, length):
+        try:
+            found = search(symbols, length)
+        except SearchBudgetExhausted:
+            searched.append((symbols[0], len(symbols), "budget"))
+            raise
+        searched.append((symbols[0], len(symbols), "found"))
+        return found
+
+    monkeypatch.setattr(sequences, "_search_pairs", recorded)
+    for d, l in [(9, 69), (10, 79), (10, 80)]:
+        assert validate(langford_sequence(d, l), SequenceKind("langford", defect=d)).ok
+    assert searched == [
+        (26, 52, "budget"), (9, 69, "found"),
+        (29, 60, "budget"), (10, 79, "found"),
+        (29, 61, "budget"), (10, 80, "found"),
+    ]
+
+
 def test_langford_search_budget(monkeypatch):
     # (9, 24) takes 3,071 placements, so a budget of 100 cuts it off
     monkeypatch.setattr(sequences, "_SEARCH_NODE_BUDGET", 100)
