@@ -8,7 +8,6 @@ sizes (`oracle`).
 
 from .errors import WindmillError
 from .sequences import (
-    PairSet,
     SequenceKind,
     SkolemTypeSequence,
     concat,
@@ -23,7 +22,6 @@ from .sequences import (
     gen_twofold_langford,
     gen_twofold_skolem,
     langford_sequence,
-    pairs_of,
     parse_sequence,
     validate,
 )
@@ -42,7 +40,6 @@ from .windmill import (
 )
 from .assemble import (
     fivetuples_c5,
-    hexagon_merge,
     hexagon_pairs,
     quadruples_from_twofold,
     triples_from_pairs,

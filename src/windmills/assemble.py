@@ -15,13 +15,14 @@ from .errors import (
     MissingTriple,
     OutOfRange,
     ShiftTooSmall,
+    UnmatchedSymbol,
 )
 from .sequences import (
     SkolemTypeSequence,
+    _greedy_pairs,
     gen_hooked_skolem,
     gen_near_skolem_topdefect,
     gen_skolem,
-    pairs_of,
 )
 
 Triple = tuple[int, int, int]
@@ -33,11 +34,12 @@ def triples_from_pairs(seq: SkolemTypeSequence, c: int, variant: int) -> list[Tr
     Variant 1 emits (0, left+c, right+c); variant 2 emits (0, symbol, right+c).
     Either way the triangle's edges are {symbol, left+c, right+c}, so c must
     be at least the largest symbol for the two ranges to stay disjoint.  The
-    pairs come from ``seq.occurrences``; a sequence it does not pair as fold 1
-    goes through ``pairs_of`` and ``PairSet.single``, which raise the errors.
+    pairs come from ``seq.occurrences``.  A sequence it does not pair as fold
+    1 fails: the greedy walk names an unmatched symbol or, since one greedy
+    pair per symbol would be fold 1, a symbol whose pair count is not 1.
     """
     occ = seq.occurrences
-    pairs = None if occ.fold == 1 else pairs_of(seq)
+    greedy = None if occ.fold == 1 else _greedy_pairs(seq)
     symbols = occ.symbols
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
@@ -45,13 +47,12 @@ def triples_from_pairs(seq: SkolemTypeSequence, c: int, variant: int) -> list[Tr
         return []
     if c < symbols[-1]:
         raise ShiftTooSmall(f"shift {c} below largest symbol {symbols[-1]}")
-    if pairs is None:
-        lefts, rights = occ.firsts, occ.lasts
-    else:
-        lefts, rights = zip(*map(pairs.single, symbols))
+    if greedy is not None:
+        sym, prs = next((sym, prs) for sym, prs in greedy.items() if len(prs) != 1)
+        raise UnmatchedSymbol(f"symbol {sym} has {len(prs)} pairs, expected 1")
     if variant == 1:
-        return [(0, a + c, b + c) for a, b in zip(lefts, rights)]
-    return [(0, sym, b + c) for sym, b in zip(symbols, rights)]
+        return [(0, a + c, b + c) for a, b in zip(occ.firsts, occ.lasts)]
+    return [(0, sym, b + c) for sym, b in zip(symbols, occ.lasts)]
 
 
 def quadruples_from_twofold(seq: SkolemTypeSequence, c: int) -> list[tuple[int, int, int, int]]:
@@ -73,12 +74,11 @@ def quadruples_from_twofold(seq: SkolemTypeSequence, c: int) -> list[tuple[int, 
         fs = [last + c for last in occ.lasts]
         if len({*ds, *symbols, *fs}) == 3 * len(symbols):
             return list(zip([0] * len(symbols), ds, symbols, fs))
-    # Something fails: pair and check symbol by symbol to name the first failure.
-    pairs = pairs_of(seq)
+    # Something fails: walk the greedy pairing symbol by symbol to name the
+    # first failure, a label repeat at one symbol before a count at a later one.
     quads = []
     seen: set[int] = set()
-    for sym in pairs.symbols:
-        prs = pairs.pairs_for(sym)
+    for sym, prs in _greedy_pairs(seq).items():
         if len(prs) != 2:
             raise BoundViolation(f"symbol {sym} has {len(prs)} pairs, expected 2")
         (_, d), (_, f) = prs
@@ -258,12 +258,3 @@ def merge_hexagons(vanes, pairs) -> list[tuple[int, ...]]:
         hexagons.append(hexagon)
     return remaining()
 
-
-def hexagon_merge(vanes, pair: tuple[int, int], n: int) -> tuple[int, ...]:
-    """The hexagon ``merge_hexagons`` makes from one pair."""
-    return merge_hexagons(vanes, [pair])[-1]
-
-
-def apply_hexagon_merge(vanes, pair: tuple[int, int], n: int) -> list[tuple[int, ...]]:
-    """Non-mutating merge: returns the vane list with the two triangles replaced."""
-    return merge_hexagons(vanes, [pair])

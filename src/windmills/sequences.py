@@ -40,7 +40,7 @@ class Occurrences(NamedTuple):
     ``fold`` is 1 when every symbol occurs twice at distance itself, so its
     one pair is (first, last); it is 2 when every symbol occurs four times
     and pairs greedily, so its pairs are (first, first+s) and (last-s, last).
-    Any other sequence has fold 0 and is paired by ``pairs_of``.
+    Any other sequence has fold 0; ``_greedy_pairs`` names what fails.
     """
 
     fold: int
@@ -88,16 +88,6 @@ class SkolemTypeSequence:
     @property
     def order(self) -> int:
         return len(self.symbol_set)
-
-    def positions_of(self, symbol: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i, e in enumerate(self.entries) if e == symbol)
-
-    def occurrence_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for e in self.entries:
-            if e != 0:
-                counts[e] = counts.get(e, 0) + 1
-        return counts
 
     def to_text(self) -> str:
         return ",".join(str(e) for e in self.entries)
@@ -152,52 +142,13 @@ def parse_sequence(text: str) -> SkolemTypeSequence:
     return SkolemTypeSequence(entries)
 
 
-class PairSet:
-    """Symbol -> ordered (left, right) position pairs with right - left = symbol."""
-
-    def __init__(self, pairs: dict[int, list[Pair]], length: int):
-        self._pairs = {sym: tuple(sorted(prs)) for sym, prs in sorted(pairs.items())}
-        self.length = length
-
-    @property
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(self._pairs)
-
-    def pairs_for(self, symbol: int) -> tuple[Pair, ...]:
-        return self._pairs[symbol]
-
-    def items(self):
-        return self._pairs.items()
-
-    def single(self, symbol: int) -> Pair:
-        prs = self._pairs[symbol]
-        if len(prs) != 1:
-            raise UnmatchedSymbol(f"symbol {symbol} has {len(prs)} pairs, expected 1")
-        return prs[0]
-
-    def to_entries(self) -> SkolemTypeSequence:
-        """Rebuild the sequence; uncovered positions become hooks (0)."""
-        return _seq_from_pairs(self._pairs, self.length)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PairSet)
-            and self._pairs == other._pairs
-            and self.length == other.length
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{s}:{list(p)}" for s, p in self._pairs.items())
-        return f"PairSet({inner}; length={self.length})"
-
-
-def pairs_of(seq: SkolemTypeSequence) -> PairSet:
-    """Greedy left-to-right pairing of each symbol's occurrences.
+def _greedy_pairs(seq: SkolemTypeSequence) -> dict[int, list[Pair]]:
+    """Greedy left-to-right pairing of each symbol's occurrences, in symbol order.
 
     Every table construction in this package yields sequences for which the
-    greedy pairing is the unique valid one; anything else is rejected.
-    ``validate`` and the vane builders read ``seq.occurrences`` instead and
-    pair here only when the index does not settle the pairing.
+    greedy pairing is the unique valid one; anything else is rejected.  Only
+    failure paths and fold-0 fragments walk it: every other pairing is read
+    off ``seq.occurrences``.
     """
     # One sweep collects every symbol's positions; then, symbol by symbol in
     # increasing order, the leftmost unpaired occurrence pairs with the cell
@@ -222,7 +173,7 @@ def pairs_of(seq: SkolemTypeSequence) -> PairSet:
             rights.add(right)
             matched.append((left, right))
         pairs[sym] = matched
-    return PairSet(pairs, seq.length)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +285,7 @@ def validate(
         violations.append(f"unexpected hooks at positions {sorted(seq.hook_positions)}")
 
     if occ.fold != fold:
-        for sym, cnt in sorted(seq.occurrence_counts().items()):
+        for sym, cnt in sorted(Counter(filter(None, seq.entries)).items()):
             if fragment:
                 if cnt % 2 != 0 or not 2 <= cnt <= 2 * fold:
                     violations.append(f"symbol {sym} occurs {cnt} times")
@@ -348,7 +299,7 @@ def validate(
 
         if not occ.fold:
             try:
-                pairs_of(seq)
+                _greedy_pairs(seq)
             except UnmatchedSymbol as exc:
                 violations.append(str(exc))
 

@@ -14,7 +14,7 @@ from importlib import resources
 
 import pytest
 
-from windmills.assemble import apply_hexagon_merge, hexagon_pairs, triples_from_pairs
+from windmills.assemble import hexagon_pairs, merge_hexagons, triples_from_pairs
 from windmills.errors import UnsupportedCombination
 from windmills.families import (
     GAP,
@@ -37,7 +37,6 @@ from windmills.sequences import (
     gen_skolem,
     gen_twofold_langford,
     gen_twofold_skolem,
-    pairs_of,
     validate,
 )
 from windmills.windmill import (
@@ -47,6 +46,8 @@ from windmills.windmill import (
     edge_multiset,
     verify,
 )
+
+from reference_pairing import pairs_of
 
 BASE_STORE_DIGEST = "ba17552b49c3ee5f067bfdf35010d294d894cbb9432a0dd6c8619413e3d6a245"
 EXPECTED_GAPS = [(1, 21), (1, 25), (2, 25), (3, 20), (3, 25)]
@@ -328,7 +329,7 @@ def test_criterion_9_hexagon_merge_edge_preservation():
         pool = hexagon_pairs(n)
         rng.shuffle(pool)
         for pair in pool[: rng.randrange(1, len(pool) + 1)]:
-            vanes = apply_hexagon_merge(vanes, pair, n)
+            vanes = merge_hexagons(vanes, [pair])
             got = Counter()
             for vane in vanes:
                 cycle = tuple(vane) + (vane[0],)

@@ -8,8 +8,6 @@ from windmills import assemble, families, sequences
 from windmills.assemble import (
     fivetuples_c5,
     fivetuples_shifted,
-    hexagon_merge,
-    apply_hexagon_merge,
     hexagon_pairs,
     merge_hexagons,
     quadruples_from_twofold,
@@ -22,6 +20,7 @@ from windmills.errors import (
     MissingTriple,
     OutOfRange,
     ShiftTooSmall,
+    UnmatchedSymbol,
 )
 from windmills.sequences import (
     SkolemTypeSequence,
@@ -33,9 +32,10 @@ from windmills.sequences import (
     gen_twofold_langford,
     gen_twofold_skolem,
     langford_sequence,
-    pairs_of,
     parse_sequence,
 )
+
+from reference_pairing import pairs_of
 
 
 def edges_of(vanes):
@@ -426,18 +426,18 @@ def test_hexagon_rows_cover_every_hexagon_count():
 
 def test_hexagon_merge_example():
     triples = [(0, 1, 6), (0, 2, 10), (0, 3, 7)]
-    assert hexagon_merge(triples, (1, 3), 3) == (0, 6, 1, 4, 3, 7)
+    assert merge_hexagons(triples, [(1, 3)])[-1] == (0, 6, 1, 4, 3, 7)
     with pytest.raises(LabelClash):
-        hexagon_merge(triples, (1, 2), 3)  # sum 3 is a used vertex label
+        merge_hexagons(triples, [(1, 2)])  # sum 3 is a used vertex label
     with pytest.raises(MissingTriple):
-        hexagon_merge(triples, (1, 5), 3)
+        merge_hexagons(triples, [(1, 5)])
 
 
 def test_hexagon_merge_order8_example():
     seq = gen_skolem(8)
     triples = triples_from_pairs(seq, 8, 2)
     assert (0, 2, 14) in triples and (0, 7, 20) in triples
-    merged = hexagon_merge(triples, (2, 7), 8)
+    merged = merge_hexagons(triples, [(2, 7)])[-1]
     assert merged == (0, 14, 2, 9, 7, 20)
 
 
@@ -446,7 +446,7 @@ def test_hexagon_merge_preserves_edges():
     vanes = triples_from_pairs(seq, 8, 2)
     before = edges_of(vanes)
     for pair in hexagon_pairs(8):
-        vanes = apply_hexagon_merge(vanes, pair, 8)
+        vanes = merge_hexagons(vanes, [pair])
     assert edges_of(vanes) == before
     assert sum(len(v) == 6 for v in vanes) == 3
 
@@ -463,7 +463,7 @@ def test_hexagon_merge_randomised_edge_preservation():
         rng.shuffle(pairs)
         take = rng.randrange(1, len(pairs) + 1)
         for pair in pairs[:take]:
-            vanes = apply_hexagon_merge(vanes, pair, n)
+            vanes = merge_hexagons(vanes, [pair])
             assert edges_of(vanes) == before
             applications += 1
 
@@ -535,8 +535,6 @@ def test_merge_hexagons_matches_iterated_merges_on_any_vanes(vanes, pairs):
 
 def test_single_merges_are_merge_hexagons():
     triples = [(0, 1, 6), (0, 2, 10), (0, 3, 7)]
-    assert apply_hexagon_merge(triples, (1, 3), 3) == merge_hexagons(triples, [(1, 3)])
-    assert hexagon_merge(triples, (1, 3), 3) == merge_hexagons(triples, [(1, 3)])[-1]
     with pytest.raises(LabelClash, match=r"vertex label 3 already used in \(0, 3, 7\)"):
         merge_hexagons(triples, [(1, 2)])
     with pytest.raises(MissingTriple, match=r"no triangle \(0, 1, _\) present"):
@@ -675,3 +673,24 @@ def test_vane_builders_match_reference_on_placed_pairs(placements, c):
     while entries and not entries[-1]:
         entries.pop()  # no hooks, so the squares get past the hook check
     assert_builders_match(SkolemTypeSequence(tuple(entries)), c)
+
+
+def test_builder_errors_keep_their_precedence():
+    # the random comparisons above reach these orders only by chance
+    S = SkolemTypeSequence
+    # a label repeat at symbol 2 comes before the count of symbol 3 (one pair)
+    with pytest.raises(BoundViolation, match=r"^vertex label 2 repeats \(shift 0 too small\)$"):
+        quadruples_from_twofold(S((1, 1, 2, 2, 2, 2, 3, 1, 1, 3)), 0)
+    # a greedy failure comes before the variant, the shift and the counts
+    with pytest.raises(UnmatchedSymbol, match=r"^symbol 2: no partner at distance 2 from position 5$"):
+        triples_from_pairs(S((2,) * 6), 3, 7)
+    ones = S((1, 1, 1, 1))  # pairs greedily, as fold 2
+    with pytest.raises(ValueError, match=r"^variant must be 1 or 2, got 3$"):
+        triples_from_pairs(ones, 0, 3)
+    with pytest.raises(ShiftTooSmall, match=r"^shift 0 below largest symbol 1$"):
+        triples_from_pairs(ones, 0, 1)
+    with pytest.raises(UnmatchedSymbol, match=r"^symbol 1 has 2 pairs, expected 1$"):
+        triples_from_pairs(ones, 1, 1)
+    for variant in (1, 2):
+        assert triples_from_pairs(S(()), 0, variant) == []
+    assert quadruples_from_twofold(S(()), 0) == []

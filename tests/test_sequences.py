@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -33,10 +34,11 @@ from windmills.sequences import (
     gen_twofold_langford,
     gen_twofold_skolem,
     langford_sequence,
-    pairs_of,
     parse_sequence,
     validate,
 )
+
+from reference_pairing import PairSet, pairs_of
 
 
 def seq(*entries):
@@ -132,7 +134,7 @@ def reference_pairs_of(seq):
     """The quadratic greedy pairing that ``pairs_of`` replaced, kept as a reference."""
     pairs = {}
     for sym in sorted(seq.symbol_set):
-        positions = list(seq.positions_of(sym))
+        positions = [pos for pos, e in enumerate(seq.entries, 1) if e == sym]
         matched = []
         while positions:
             left = positions.pop(0)
@@ -144,7 +146,7 @@ def reference_pairs_of(seq):
             positions.remove(right)
             matched.append((left, right))
         pairs[sym] = matched
-    return sequences.PairSet(pairs, seq.length)
+    return PairSet(pairs, seq.length)
 
 
 def outcome(pair, entries):
@@ -211,6 +213,34 @@ def test_pairs_of_matches_reference_on_interleaved_twofold(placements):
     assert outcome(pairs_of, entries) == outcome(reference_pairs_of, entries)
 
 
+def greedy_outcome(entries):
+    """The package's failure-naming walk in ``PairSet`` form, or its error text."""
+    try:
+        pairs = sequences._greedy_pairs(SkolemTypeSequence(tuple(entries)))
+    except UnmatchedSymbol as exc:
+        return str(exc)
+    assert list(pairs) == sorted(pairs)  # in symbol order
+    return PairSet(pairs, len(entries))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=24))
+def test_greedy_walk_matches_reference_on_random_entries(entries):
+    assert greedy_outcome(entries) == outcome(reference_pairs_of, entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=23)),
+        max_size=16,
+    )
+)
+def test_greedy_walk_matches_reference_on_interleaved_twofold(placements):
+    entries = place_pairs(placements)
+    assert greedy_outcome(entries) == outcome(reference_pairs_of, entries)
+
+
 def test_pairs_of_greedy_on_interleaved_pairs():
     # symbol 3 at positions 1, 2, 4, 5: pairing each occurrence with the
     # previous open one would reject this
@@ -260,7 +290,7 @@ def reference_validate(seq, kind, fragment=False):
             )
     elif hooks:
         violations.append(f"unexpected hooks at positions {sorted(hooks)}")
-    for sym, cnt in sorted(seq.occurrence_counts().items()):
+    for sym, cnt in sorted(Counter(e for e in seq.entries if e).items()):
         if fragment:
             if cnt % 2 != 0 or not 2 <= cnt <= 2 * fold:
                 violations.append(f"symbol {sym} occurs {cnt} times")
@@ -365,13 +395,13 @@ def test_validate_pairs_only_what_the_index_leaves_unfolded(monkeypatch):
         + [(fixed_small_twofold(y), SequenceKind("two-fold-skolem-type"), False, True) for y in range(5)]
     )
     paired = []
-    real = sequences.pairs_of
+    real = sequences._greedy_pairs
 
     def counting(s):
         paired.append(s)
         return real(s)
 
-    monkeypatch.setattr(sequences, "pairs_of", counting)
+    monkeypatch.setattr(sequences, "_greedy_pairs", counting)
     for s, kind, fragment, ok in cases:
         assert validate(s, kind, fragment=fragment).ok == ok, (s.entries, kind)
     unfolded = [s for s, *_ in cases if s.occurrences.fold == 0]
