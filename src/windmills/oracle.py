@@ -2,7 +2,10 @@
 
 This is the independent ground truth at desk scale: it never trusts the
 constructive machinery, and it reports "none" only when the search space was
-provably exhausted under its symmetry reduction.
+provably exhausted under its symmetry reduction.  Each cut keeps a member of
+every symmetry class: the labelling search orients vanes, orders equal vanes
+and flips triangles (``_search_vanes``); a find search for a hook-free
+one-fold sequence uses reversal (``search_sequence``).
 """
 
 from __future__ import annotations
@@ -70,11 +73,32 @@ def _search_vanes(
 
     Backtracking over bitmasks of the free vertex and edge labels; raises
     ``_BudgetExhausted`` past ``node_budget`` nodes.  Value order is
-    descending (the scarce large labels first).  Symmetry reduction:
-    equal-length vanes are ordered by decreasing first vertex and every vane
-    is oriented with its last vertex above its first; both are canonical-form
-    choices, so no labelling class is lost.
+    descending (the scarce large labels first).  ``cycles`` must be sorted
+    longest first, so the triangles come last.
+
+    Three canonical-form cuts, each keeping at least one labelling of every
+    class, so a negative stays exhaustive:
+
+    - every vane is oriented with its last vertex above its first;
+    - equal-length vanes are ordered by decreasing first vertex;
+    - a triangle ``(0, a, b)`` keeps ``b`` only if ``b > 2a`` or ``b - a`` is
+      not free when ``b`` is placed (the triangle flip).
+
+    The flip: ``(0, a, b)`` and ``(0, b - a, b)`` have the same edges
+    ``{a, b - a, b}``.  A vertex next to the centre carries its edge's label,
+    and edge labels are distinct, so ``b - a`` is no vertex of another
+    triangle nor an end vertex of a longer vane: it can only be a middle
+    vertex of a longer vane, and those are all placed before the triangles.
+    So when ``b`` is placed, ``b - a`` is free exactly when no vertex of the
+    finished labelling uses it and it is a vertex label.  Given any
+    labelling, flip every triangle whose ``b - a`` is free and below ``a``:
+    the flipped labels are distinct edge labels of distinct triangles, so
+    the result is a labelling whose triangles all pass the cut.  Ordering
+    the equal vanes again by first vertex gives a labelling this search
+    admits.
     """
+    if cycles != sorted(cycles, reverse=True):
+        raise ValueError(f"cycles must be sorted longest first, got {cycles}")
     vanes = [[0] * length for length in cycles]
     top = max(edges + vertices, default=0)
     nodes = 0
@@ -96,6 +120,8 @@ def _search_vanes(
         if last:
             # the closing edge v is free, and the last vertex lies above the first
             cand &= mask >> (vane[1] + 1) << (vane[1] + 1)
+            if length == 3:  # the triangle flip: v > 2 * prev, or v - prev not free
+                cand &= (-1 << (2 * prev + 1)) | (~free << prev)
         next_idx, next_pos = (idx + 1, 1) if last else (idx, pos + 1)
         while cand:
             v = cand.bit_length() - 1
@@ -189,6 +215,13 @@ def search_sequence(
 
     Returns every sequence of the kind (``enumerate_all``) or the first one
     found; the empty list is an exhaustive negative.
+
+    Reversal cut: the reverse of a hook-free one-fold sequence is another
+    sequence of its kind, and it moves the largest symbol's left end ``a`` to
+    ``length + 1 - sym - a``, so a find search places that symbol only at
+    ``2a + sym <= length + 1``.  Left ends are tried from the left and the
+    lowest left end of any solution lies in that half, so the first solution
+    is the one the unreduced search returns.
     """
     if n < 1:
         raise ValueError("order must be a positive integer")
@@ -210,6 +243,9 @@ def search_sequence(
     free = (1 << (length + 1)) - 2  # bit a for each free cell a in 1..length
     if kind.hooked:
         free ^= 1 << (length - 1)  # the hook, next to last
+    first_ends = -1  # bit a for each left end a the first slot may take
+    if not enumerate_all and kind.fold == 1 and not kind.hooked:
+        first_ends = (2 << (length + 1 - slots[0]) // 2) - 1  # 2a + sym <= length + 1
     results: list[SkolemTypeSequence] = []
 
     def place(idx: int, start: int, free: int) -> bool:
@@ -223,6 +259,8 @@ def search_sequence(
         sym = slots[idx]
         # left ends a >= start with cells a and a + sym both free, leftmost first
         ends = free & (free >> sym) & -(1 << start)
+        if idx == 0:
+            ends &= first_ends
         while ends:
             low = ends & -ends
             ends ^= low

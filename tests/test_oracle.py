@@ -14,7 +14,7 @@ from windmills.oracle import (
     search_sequence,
 )
 from windmills.sequences import SequenceKind, SkolemTypeSequence, exists, validate
-from windmills.windmill import GRACEFUL, NEAR_GRACEFUL, WindmillSpec, labels, verify
+from windmills.windmill import GRACEFUL, NEAR_GRACEFUL, Labelling, WindmillSpec, labels, verify
 
 
 def test_search_single_square():
@@ -28,13 +28,13 @@ def test_search_two_triangles_graceful_is_exhaustively_empty():
     result = search_labelling(WindmillSpec.of((3, 2)), GRACEFUL)
     assert result.status == NONE
     assert result.exhaustive
-    assert result.nodes == 29
+    assert result.nodes == 14
 
 
 def test_search_three_triangles_graceful_is_exhaustively_empty():
     result = search_labelling(WindmillSpec.of((3, 3)), GRACEFUL)
     assert result.status == NONE and result.exhaustive
-    assert result.nodes == 256
+    assert result.nodes == 69
 
 
 def test_search_two_pentagons_graceful_is_exhaustively_empty():
@@ -174,7 +174,11 @@ def test_search_sequence_enumeration_order(tag, n, count, first, last):
 
 @pytest.mark.parametrize(
     "spec, mode, nodes",
-    [("c3=2,c4=2", GRACEFUL, 368976), ("c3=2,c6=2", NEAR_GRACEFUL, 60702)],
+    [
+        ("c3=2,c4=2", GRACEFUL, 314095),
+        ("c3=6", GRACEFUL, 39058),
+        ("c3=2,c6=2", NEAR_GRACEFUL, 59644),
+    ],
 )
 def test_search_heavy_node_counts(spec, mode, nodes):
     result = search_labelling(WindmillSpec.parse(spec), mode)
@@ -196,17 +200,24 @@ def test_search_heavy_node_counts(spec, mode, nodes):
 # ---------------------------------------------------------------------------
 
 
-def reference_search_vanes(cycles, vertices, edges, node_budget):
-    """The per-value loop of ``_search_vanes`` before its bitmask kernel."""
+def reference_labellings(cycles, vertices, edges, flip, node_budget=None, nodes=None):
+    """Every vane assignment the per-value loop of ``_search_vanes`` reaches, in order.
+
+    The loop from before the bitmask kernel.  Without ``flip`` it is the
+    unreduced search, which cuts only by orientation and by the order of
+    equal vanes; ``flip`` adds the triangle flip in per-value form.  The
+    one-item list ``nodes`` counts the nodes visited.
+    """
+    nodes = [0] if nodes is None else nodes
     vanes = [[0] * length for length in cycles]
+    allowed = set(vertices)
     used = set()
     descending = sorted(vertices, reverse=True)
-    nodes = 0
 
     def rec(idx, pos, mask):
-        nonlocal nodes
         if idx == len(cycles):
-            return True
+            yield [tuple(vane) for vane in vanes]
+            return
         length = cycles[idx]
         vane = vanes[idx]
         prev = vane[pos - 1]
@@ -226,19 +237,25 @@ def reference_search_vanes(cycles, vertices, edges, node_budget):
                 if v <= vane[1] or not rest & closing:
                     continue
                 rest &= ~closing
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise _BudgetExhausted(nodes)
+                # the flip (0, b - a, b) of this triangle (0, a, b) is searched instead
+                if flip and length == 3 and v <= 2 * prev and v - prev in allowed - used:
+                    continue
+            nodes[0] += 1
+            if node_budget is not None and nodes[0] > node_budget:
+                raise _BudgetExhausted(nodes[0])
             vane[pos] = v
             used.add(v)
-            if rec(idx + 1, 1, rest) if last else rec(idx, pos + 1, rest):
-                return True
+            yield from rec(idx + 1, 1, rest) if last else rec(idx, pos + 1, rest)
             used.remove(v)
-        return False
 
-    if rec(0, 1, sum(1 << e for e in edges)):
-        return [tuple(vane) for vane in vanes], nodes
-    return None, nodes
+    yield from rec(0, 1, sum(1 << e for e in edges))
+
+
+def reference_search_vanes(cycles, vertices, edges, node_budget, flip=True):
+    """The first labelling of ``reference_labellings`` and the nodes it took."""
+    nodes = [0]
+    first = next(reference_labellings(cycles, vertices, edges, flip, node_budget, nodes), None)
+    return first, nodes[0]
 
 
 def reference_search_sequence(kind, n, enumerate_all=False):
@@ -316,6 +333,77 @@ def test_search_vanes_matches_reference(text, mode):
                 assert vanes_outcome(_search_vanes, *args) == want, (max_label, budget)
 
 
+def test_search_vanes_verdicts_match_unreduced_search():
+    """The verdicts the unreduced loop reaches within 10,000 nodes are the
+    kernel's, the cuts only remove nodes, and every labelling found verifies."""
+    decided = {FOUND: 0, NONE: 0}
+    for text in CRITERION_7_SPECS:
+        spec = WindmillSpec.parse(text)
+        m = spec.edge_count
+        for mode in (GRACEFUL, NEAR_GRACEFUL):
+            for permissive, (cycles, vertices, edges) in enumerate(search_targets(spec, mode)):
+                for max_label in (None, m - 1, m - 3, 5):
+                    cut = [v for v in vertices if max_label is None or v <= max_label]
+                    try:
+                        want, unreduced_nodes = reference_search_vanes(
+                            cycles, cut, edges, 10_000, flip=False
+                        )
+                    except _BudgetExhausted:
+                        continue
+                    case = (text, mode, permissive, max_label)
+                    vanes, nodes = _search_vanes(cycles, cut, edges, None)
+                    assert (vanes is None) == (want is None), case
+                    if vanes is None:
+                        decided[NONE] += 1
+                        assert nodes <= unreduced_nodes, case
+                        continue
+                    decided[FOUND] += 1
+                    labelling = Labelling(
+                        spec=spec, vanes=vanes, mode=NEAR_GRACEFUL if permissive else mode
+                    )
+                    assert verify(labelling, permissive_near=bool(permissive)).ok, case
+    # 277 of the 432 searches; the other 155 need more than 10,000 unreduced nodes
+    assert decided == {FOUND: 52, NONE: 225}
+
+
+# every labelling of the unreduced space in both modes: 3,747 in all
+@pytest.mark.parametrize(
+    "cycles, count",
+    [
+        ((4, 3), 15),
+        ((5, 3), 40),
+        ((6, 3), 111),
+        ((4, 3, 3), 168),
+        ((4, 4, 3), 414),
+        ((5, 3, 3), 376),
+        ((6, 3, 3), 1267),
+        ((4, 3, 3, 3), 1356),
+    ],
+)
+def test_triangle_flip_keeps_a_labelling_on_every_vertex_set(cycles, count):
+    """Given only the vertex labels of any labelling, the kernel still finds one.
+
+    A cut that flips a triangle (0, a, b) whose b - a another vane already
+    uses loses such labellings; a verdict-only comparison misses that.
+    """
+    cycles = list(cycles)
+    seen = 0
+    for mode in (GRACEFUL, NEAR_GRACEFUL):
+        target = labels(sum(cycles), mode)
+        for vanes in reference_labellings(cycles, target, target, flip=False):
+            used = sorted({v for vane in vanes for v in vane[1:]})
+            assert _search_vanes(cycles, used, target, None)[0] is not None, vanes
+            seen += 1
+    assert seen == count
+
+
+@pytest.mark.parametrize("cycles", [[3, 4], [3, 3, 4], [4, 3, 5]])
+def test_search_vanes_needs_cycles_longest_first(cycles):
+    target = labels(sum(cycles), GRACEFUL)
+    with pytest.raises(ValueError, match="longest first"):
+        _search_vanes(cycles, target, target, None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.integers(min_value=3, max_value=8), min_size=1, max_size=4).filter(
@@ -355,10 +443,15 @@ def sequence_kinds(n, twofold_max):
             yield SequenceKind("two-fold-langford", defect=d)
 
 
-# enumerating the 79,238 two-fold Skolem sequences of order 6 takes about 14 s
-@pytest.mark.parametrize("enumerate_all, twofold_max", [(False, 6), (True, 5)])
-@pytest.mark.parametrize("n", range(1, 9))
+# enumerating the 79,238 two-fold Skolem sequences of order 6 takes about 14 s;
+# the reference's find searches of order 11 take about 27 s
+@pytest.mark.parametrize(
+    "n, enumerate_all, twofold_max",
+    [(n, False, 6) for n in range(1, 11)] + [(n, True, 5) for n in range(1, 9)],
+)
 def test_search_sequence_matches_reference(n, enumerate_all, twofold_max):
+    """Byte-identical results: the reversal cut keeps a find search's first
+    sequence, and enumerations do not use it."""
     for kind in sequence_kinds(n, twofold_max):
         want = reference_search_sequence(kind, n, enumerate_all)
         assert search_sequence(kind, n, enumerate_all) == want, kind
