@@ -245,7 +245,8 @@ def search_sequence(
         free ^= 1 << (length - 1)  # the hook, next to last
     first_ends = -1  # bit a for each left end a the first slot may take
     if not enumerate_all and kind.fold == 1 and not kind.hooked:
-        first_ends = (2 << (length + 1 - slots[0]) // 2) - 1  # 2a + sym <= length + 1
+        # 2a + sym <= length + 1; a symbol too long to fit at all keeps no end
+        first_ends = (2 << max(length + 1 - slots[0], 0) // 2) - 1
     results: list[SkolemTypeSequence] = []
 
     def place(idx: int, start: int, free: int) -> bool:

@@ -272,6 +272,10 @@ def test_oracle_sequence(capsys):
     assert code == 0 and out.strip() == "1,1,2,0,2"
     code, out, _ = run(capsys, "oracle", "--seq-kind", "skolem", "--order", "2")
     assert code == 0 and out.strip() == "none (exhaustive)"
+    code, out, _ = run(
+        capsys, "oracle", "--seq-kind", "langford", "--defect", "4", "--order", "1"
+    )
+    assert code == 0 and out.strip() == "none (exhaustive)"
 
 
 def test_audit_csv(capsys):

@@ -455,3 +455,16 @@ def test_search_sequence_matches_reference(n, enumerate_all, twofold_max):
     for kind in sequence_kinds(n, twofold_max):
         want = reference_search_sequence(kind, n, enumerate_all)
         assert search_sequence(kind, n, enumerate_all) == want, kind
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_search_sequence_oversized_symbol_is_exhaustive_negative(n, enumerate_all):
+    """A largest symbol longer than the sequence leaves the reversal cut no
+    left end: the search is an exhaustive negative, as in the reference."""
+    oversized = [SequenceKind(tag, defect=d) for d in range(n + 3, n + 6)
+                 for tag in ("langford", "hooked-langford")]
+    oversized.append(SequenceKind("skolem-type", symbols=frozenset([*range(1, n), 2 * n + 1])))
+    for kind in oversized:
+        assert search_sequence(kind, n, enumerate_all) == [], kind
+        assert reference_search_sequence(kind, n, enumerate_all) == [], kind
