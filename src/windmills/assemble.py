@@ -7,11 +7,8 @@ two triangles around their symbol sum.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .errors import (
     BoundViolation,
-    LabelClash,
     MissingTriple,
     OutOfRange,
     ShiftTooSmall,
@@ -191,10 +188,7 @@ _HEXAGON_ROWS = (
 
 
 def _hexagon_pair_rows(n: int) -> list[tuple[int, int]]:
-    """Two rows of residue-class pairs (i, j) whose sums i+j are distinct.
-
-    The sums sit strictly between n and the smallest shifted right endpoint
-    of the triangles (checked for n <= 1200, not proved).
+    """Two rows of residue-class pairs (i, j) that merge triangles into hexagons.
 
     Row-count lemma: for every n >= 1 there are exactly (2n+1)//5 pairs, so
     ``label_c3c6(t, h)``, which merges the first h with n = t+2h, never runs
@@ -203,6 +197,29 @@ def _hexagon_pair_rows(n: int) -> list[tuple[int, int]]:
     r = 0, k-1 at r = 1), which is (2n+1)//5; j-i is 3k+b-a in the first row
     and k+b-a in the second, both positive in a non-empty row except (1, 1)
     at n = 1, and j ends at n in the first row and below n in the second.
+
+    Clearance lemma: for every n >= 1 the pairs are disjoint, their sums are
+    distinct, and each sum lies strictly between n and min(lasts) + n, lasts
+    being the right ends of ``_triangle_sequence(n)``; so no merge of
+    ``label_c3c6`` repeats a vertex label of its triangles (0, s, last + n).
+    Proof: every row of ``_HEXAGON_ROWS`` has c1+a1 <= a2, c2+a2 <= b2 and
+    c2+b2 <= b1, so the runs of first-row i, second-row i, second-row j and
+    first-row j, rising by one from k+a1, 2k+a2, 3k+b2 and 4k+b1, lie in that
+    order.  Each row has a1+b1 = r+1 and a2+b2 = r+2, so the sums run n+1,
+    n+3, ... and n+2, n+4, ...: distinct, above n and, as c1 <= 1 and c2 <= 0,
+    at most n + 2k + 1.  At n >= 7 the triangle sequence is ``_skolem_0mod4``,
+    ``_skolem_1mod4``, ``_hooked_2mod4`` or ``_hooked_3mod4`` of m = n//4
+    (m >= 2, 2, 2, 1), whose right ends are, in table order, as ranges in m:
+
+      n = 4m: [2m+2, 4m+1], 7m+1, 6m, [7m+2, 8m], 6m+1, [6m+2, 7m-1];
+      n = 4m+1: [2m+2, 4m+1], 6m+2, [7m+2, 8m+1], 8m+2, 5m+3, [6m+4, 7m+1];
+      n = 4m+2: [2m+3, 4m+3], 7m+5, [6m+4, 7m+3], 8m+5, [7m+6, 8m+3], 6m+3;
+      n = 4m+3: [2m+3, 4m+3], 5m+5, [6m+7, 7m+5], 8m+7, [7m+6, 8m+5], 6m+5.
+
+    The first row starts at n//2 + 2 and the later ones at 5m+2 or above, so
+    min(lasts) = n//2 + 2 > 2k + 1, as 2k <= 2n/5 < n/2.  At n = 2..6 the
+    fixtures' sums 3; 4; 5; 6, 7; 7, 9 lie below 4, 6, 8, 9, 11.
+    ``tests/test_assemble.py`` checks each step.
     """
     k, r = divmod(n, 5)
     (a1, b1, c1), (a2, b2, c2) = _HEXAGON_ROWS[r]
@@ -222,39 +239,25 @@ def merge_hexagons(vanes, pairs) -> list[tuple[int, ...]]:
     """Merge the triangles (0,i,x) and (0,j,y) of each pair into (0, x, i, i+j, j, y).
 
     The pairs merge in order, each seeing the vanes the earlier merges left.
-    Both triangles must be present in symbol-keyed form and the sum i+j must
-    not collide with any vertex label still in use; the merged hexagon
-    reproduces the two triangles' edge labels exactly.  Returns the vanes
-    that no merge consumed, in their order, then the hexagons in merge order.
+    Both triangles must be present in symbol-keyed form; the merged hexagon
+    reproduces the two triangles' edge labels exactly.  No vertex label is
+    checked here: a sum that repeats one is a fault that ``verify`` names,
+    and the clearance lemma of ``_hexagon_pair_rows`` rules it out for
+    ``label_c3c6``.  Returns the vanes that no merge consumed, in their
+    order, then the hexagons in merge order.
     """
     triangles: dict[int, list[tuple[int, ...]]] = {}
     for vane in vanes:
         if len(vane) == 3:
             triangles.setdefault(vane[1], []).append(vane)
-    used = Counter(label for vane in vanes for label in vane)
-    consumed: set[int] = set()
     hexagons: list[tuple[int, ...]] = []
-
-    def remaining() -> list[tuple[int, ...]]:
-        return [v for v in vanes if not (len(v) == 3 and v[1] in consumed)] + hexagons
-
     for i, j in pairs:
         if i == j:
             raise ValueError("pair must use two distinct symbols")
         for sym in (i, j):
             if sym not in triangles:
                 raise MissingTriple(f"no triangle (0, {sym}, _) present")
-        total = i + j
-        if used[total]:
-            clash = next(v for v in remaining() if total in v)
-            raise LabelClash(f"vertex label {total} already used in {clash}")
-        tri_i, tri_j = triangles[i][0], triangles[j][0]
-        for sym in (i, j):
-            for vane in triangles.pop(sym):
-                used.subtract(vane)
-            consumed.add(sym)
-        hexagon = (0, tri_i[2], i, total, j, tri_j[2])
-        used.update(hexagon)
-        hexagons.append(hexagon)
-    return remaining()
-
+        x, y = triangles.pop(i)[0][2], triangles.pop(j)[0][2]
+        hexagons.append((0, x, i, i + j, j, y))
+    # a triangle survives while its symbol is still a key
+    return [v for v in vanes if len(v) != 3 or v[1] in triangles] + hexagons

@@ -49,10 +49,6 @@ class BoundViolation(WindmillError):
     """A shift/order bound needed for distinct labels does not hold."""
 
 
-class LabelClash(WindmillError):
-    """A merge would introduce a vertex label that is already in use."""
-
-
 class MissingTriple(WindmillError):
     """A merge refers to a triangle that is not present."""
 

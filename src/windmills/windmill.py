@@ -11,6 +11,7 @@ vertex label m and the edge label m, using m+1 instead for both.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -76,13 +77,12 @@ class WindmillSpec:
             part = part.strip()
             if not part:
                 continue
-            try:
-                key, value = part.split("=")
-                length = int(key.lstrip("cC"))
-                count = int(value)
-            except ValueError as exc:
-                raise MalformedLabelling(f"bad graph spec component {part!r}") from exc
-            if not key.lower().startswith("c") or length not in (3, 4, 5, 6):
+            # one c, the length's decimal digits, =, and the count's, maybe negative
+            match = re.fullmatch(r"[cC]([0-9]+)=(-?[0-9]+)", part)
+            if match is None:
+                raise MalformedLabelling(f"bad graph spec component {part!r}")
+            length, count = map(int, match.groups())
+            if length not in (3, 4, 5, 6):
                 raise MalformedLabelling(f"unsupported cycle length in {part!r}")
             if count < 0:
                 raise MalformedLabelling(f"negative vane count in {part!r}")

@@ -16,7 +16,6 @@ from windmills.assemble import (
 from windmills.errors import (
     BoundViolation,
     InvalidSequence,
-    LabelClash,
     MissingTriple,
     OutOfRange,
     ShiftTooSmall,
@@ -407,28 +406,126 @@ def test_hexagon_bound_needs_no_more_rows(t, data):
     assert h <= min((2 * n + 1) // 5, (n - 1) // 2) <= (2 * n + 1) // 5
 
 
-def test_hexagon_rows_cover_every_hexagon_count():
-    # ``label_c3c6(t, h)`` merges the first h pairs of ``_hexagon_pair_rows(n)``,
-    # n = t + 2h; the row-count lemma above gives enough pairs.  The sums clear
-    # the symbols 1..n, each other and, checked to n = 1200, every shifted right
-    # end of the triangles, so no merge clashes (this half is not proved).
-    for n in range(1, 6001):
+# -- the C3C6 clearance lemma, step by step (``assemble._hexagon_pair_rows``) ----
+
+
+def test_hexagon_rows_keep_their_runs_apart_and_their_sums_by_parity():
+    # the runs of first-row i, second-row i, second-row j and first-row j lie
+    # in that order; the sums are n+1, n+3, ... and n+2, n+4, ..., at most n+2k+1
+    for r, ((a1, b1, c1), (a2, b2, c2)) in enumerate(assemble._HEXAGON_ROWS):
+        assert c1 + a1 <= a2 and c2 + a2 <= b2 and c2 + b2 <= b1, r
+        assert (a1 + b1, a2 + b2) == (r + 1, r + 2), r
+        assert c1 <= 1 and c2 <= 0, r
+
+
+def test_hexagon_rows_read_as_the_clearance_lemma_says():
+    for n in range(2, 401):
+        k, r = divmod(n, 5)
+        (a1, b1, c1), (a2, b2, c2) = assemble._HEXAGON_ROWS[r]
+        first, second = k + c1, k + c2
         pairs = assemble._hexagon_pair_rows(n)
-        assert len(pairs) >= min((2 * n + 1) // 5, (n - 1) // 2), n
-        used = [x for pair in pairs for x in pair]
-        assert len(used) == len(set(used)), n
+        runs = [
+            [i for i, _ in pairs[:first]],
+            [i for i, _ in pairs[first:]],
+            [j for _, j in pairs[first:]],
+            [j for _, j in pairs[:first]],
+        ]
+        starts = [k + a1, 2 * k + a2, 3 * k + b2, 4 * k + b1]
+        assert runs == [list(range(s, s + len(run))) for s, run in zip(starts, runs)], n
+        assert [len(run) for run in runs] == [first, max(second, 0), max(second, 0), first], n
         sums = [i + j for i, j in pairs]
-        assert len(sums) == len(set(sums)) and min(sums, default=n + 1) > n, n
-        if n <= 1200:
-            rights = {last + n for last in assemble._triangle_sequence(n).occurrences.lasts}
-            assert rights.isdisjoint(sums[: (2 * n + 1) // 5]), n
+        assert sums == [n + 1 + 2 * z for z in range(first)] + [n + 2 + 2 * z for z in range(second)], n
+
+
+# n mod 4 -> the triangle sequence's row table, n as a function of its m, the
+# least m used, and each row's right ends in table order as (first, step,
+# count), as the clearance lemma reads them
+TRIANGLE_TABLES = {
+    0: (sequences._skolem_0mod4, lambda m: 4 * m, 2, COMPANION_TABLES[0][4]),
+    1: (sequences._skolem_1mod4, lambda m: 4 * m + 1, 2, lambda m: [
+        (2 * m + 2, 1, 2 * m), (6 * m + 2, 1, 1), (7 * m + 2, 1, m),
+        (8 * m + 2, 1, 1), (5 * m + 3, 1, 1), (6 * m + 4, 1, m - 2),
+    ]),
+    2: (sequences._hooked_2mod4, lambda m: 4 * m + 2, 2, COMPANION_TABLES[1][4]),
+    3: (sequences._hooked_3mod4, lambda m: 4 * m + 3, 1, lambda m: [
+        (2 * m + 3, 1, 2 * m + 1), (5 * m + 5, 1, 1), (6 * m + 7, 1, m - 1),
+        (8 * m + 7, 1, 1), (7 * m + 6, 1, m), (6 * m + 5, 1, 1),
+    ]),
+}
+
+
+def test_triangle_sequence_comes_from_one_row_table():
+    # below 7 it is a fixture
+    for n in range(1, 7):
+        fixtures = sequences._SKOLEM_FIXTURES if n % 4 in (0, 1) else sequences._HOOKED_FIXTURES
+        assert assemble._triangle_sequence(n).entries == fixtures[n], n
+    for n in range(7, 401):
+        table, n_of, m_min, _ = TRIANGLE_TABLES[n % 4]
+        m = n // 4
+        assert n_of(m) == n and m >= m_min, n
+        assert assemble._triangle_sequence(n) == table(m), n
+
+
+def test_triangle_rows_read_as_the_clearance_lemma_says(monkeypatch):
+    added = []
+    add = sequences._PairBuilder.add
+    monkeypatch.setattr(
+        sequences._PairBuilder, "add", lambda self, sym, a, b: (added.append(b), add(self, sym, a, b))
+    )
+    for table, _, m_min, rows in TRIANGLE_TABLES.values():
+        for m in range(m_min, 120):
+            added.clear()
+            table(m)
+            assert added == [first + step * i for first, step, count in rows(m) for i in range(count)]
+
+
+def test_triangle_rows_start_at_half_n_plus_2():
+    # an affine f with 0 <= f(m_min) <= f(m_min + 1) is >= 0 for every m >= m_min
+    for table, n_of, m_min, rows in TRIANGLE_TABLES.values():
+        for m in (m_min, m_min + 1):
+            assert lowest_right_ends(rows(m))[0] == n_of(m) // 2 + 2, table.__name__
+
+        def margins(m):
+            later = lowest_right_ends(rows(m))[1:]
+            return [low - (5 * m + 2) for low in later] + [5 * m + 2 - (n_of(m) // 2 + 2)]
+
+        assert all(0 <= a <= b for a, b in zip(margins(m_min), margins(m_min + 1))), table.__name__
+
+
+@given(st.integers(7, 10**9))
+def test_hexagon_sums_clear_the_right_ends(n):
+    # the largest sum, n + 2k + 1, is below min(lasts) + n = n//2 + 2 + n
+    k = n // 5
+    assert 2 * k <= 2 * n / 5 < n / 2 and 2 * k <= n // 2
+    assert n + 2 * k + 1 < n // 2 + 2 + n
+
+
+def test_hexagon_sums_clear_the_fixtures():
+    assert assemble._hexagon_pair_rows(1) == []
+    sums = {2: [3], 3: [4], 4: [5], 5: [6, 7], 6: [7, 9]}
+    tops = {2: 4, 3: 6, 4: 8, 5: 9, 6: 11}
+    for n in range(2, 7):
+        assert [i + j for i, j in assemble._hexagon_pair_rows(n)] == sums[n], n
+        assert min(assemble._triangle_sequence(n).occurrences.lasts) + n == tops[n], n
+        assert n < min(sums[n]) and max(sums[n]) < tops[n], n
+
+
+@pytest.mark.parametrize("t, pair, label", [(9, (7, 11), 18), (2, (1, 2), 3)])
+def test_label_c3c6_refuses_a_clashing_pair(monkeypatch, t, pair, label):
+    # ``verify`` is the one clash check: a pair whose sum is already a vertex
+    # label (the right end 7 + 11 of the triangle (0, 2, 18) at n = 11, or the
+    # symbol 3 at n = 4) makes ``label_c3c6`` fail, naming the label
+    n = t + 2
+    triangles = triples_from_pairs(assemble._triangle_sequence(n), n, 2)
+    assert any(label in vane for vane in triangles)
+    monkeypatch.setattr(families, "_hexagon_pair_rows", lambda n: [pair])
+    with pytest.raises(InvalidSequence, match=rf"duplicate vertices \[{label}\]"):
+        families.label_c3c6(t, 1)
 
 
 def test_hexagon_merge_example():
     triples = [(0, 1, 6), (0, 2, 10), (0, 3, 7)]
     assert merge_hexagons(triples, [(1, 3)])[-1] == (0, 6, 1, 4, 3, 7)
-    with pytest.raises(LabelClash):
-        merge_hexagons(triples, [(1, 2)])  # sum 3 is a used vertex label
     with pytest.raises(MissingTriple):
         merge_hexagons(triples, [(1, 5)])
 
@@ -468,6 +565,10 @@ def test_hexagon_merge_randomised_edge_preservation():
             applications += 1
 
 
+class Clash(Exception):
+    """A merge sum that is still a vertex label, which the references refuse."""
+
+
 def reference_merge(vanes, pair):
     """One merge as it was before ``merge_hexagons``: three scans of the vanes."""
     i, j = pair
@@ -485,7 +586,7 @@ def reference_merge(vanes, pair):
     total = i + j
     for vane in vanes:
         if total in vane:
-            raise LabelClash(f"vertex label {total} already used in {vane}")
+            raise Clash(total, vane)
     merged = (0, tri_i[2], i, total, j, tri_j[2])
     return [v for v in vanes if not (len(v) == 3 and v[1] in (i, j))] + [merged]
 
@@ -496,11 +597,59 @@ def reference_merges(vanes, pairs):
     return list(vanes)
 
 
+def ledger_merge(vanes, pairs):
+    """``merge_hexagons`` as it was with its label ledger, which refused a
+    sum still in use; ``label_c3c6`` must give what this gives."""
+    triangles = {}
+    for vane in vanes:
+        if len(vane) == 3:
+            triangles.setdefault(vane[1], []).append(vane)
+    used = Counter(label for vane in vanes for label in vane)
+    consumed = set()
+    hexagons = []
+
+    def remaining():
+        return [v for v in vanes if not (len(v) == 3 and v[1] in consumed)] + hexagons
+
+    for i, j in pairs:
+        if i == j:
+            raise ValueError("pair must use two distinct symbols")
+        for sym in (i, j):
+            if sym not in triangles:
+                raise MissingTriple(f"no triangle (0, {sym}, _) present")
+        total = i + j
+        if used[total]:
+            raise Clash(total, next(v for v in remaining() if total in v))
+        tri_i, tri_j = triangles[i][0], triangles[j][0]
+        for sym in (i, j):
+            for vane in triangles.pop(sym):
+                used.subtract(vane)
+            consumed.add(sym)
+        hexagon = (0, tri_i[2], i, total, j, tri_j[2])
+        used.update(hexagon)
+        hexagons.append(hexagon)
+    return remaining()
+
+
 def merge_outcome(merge, vanes, pairs):
     try:
         return merge(vanes, pairs)
-    except (ValueError, MissingTriple, LabelClash) as exc:
+    except (ValueError, MissingTriple) as exc:
         return type(exc).__name__, str(exc)
+
+
+def first_clash(vanes, pairs):
+    """(step, vanes before it, sum, vane holding it) at the reference's first
+    clash, or None when it merges or fails otherwise first."""
+    for step, pair in enumerate(pairs):
+        try:
+            after = reference_merge(vanes, pair)
+        except Clash as clash:
+            return (step, vanes, *clash.args)
+        except (ValueError, MissingTriple):
+            return None
+        vanes = after
+    return None
 
 
 def test_merge_hexagons_matches_iterated_merges():
@@ -513,6 +662,19 @@ def test_merge_hexagons_matches_iterated_merges():
         for h in range(1, len(pairs) + 1):
             expected = reference_merge(expected, pairs[h - 1])
             assert merge_hexagons(triangles, pairs[:h]) == expected, (n, h)
+
+
+# the large C3C6 cells of the benchmark's label-large workload
+C3C6_ANCHORS = ((210, 124), (241, 180), (272, 244), (303, 300))
+
+
+def test_label_c3c6_matches_the_ledger_merge():
+    cells = [(t, h) for t in range(1, 61) for h in range(2 * t + 2)] + list(C3C6_ANCHORS)
+    for t, h in cells:
+        n = t + 2 * h
+        triangles = triples_from_pairs(assemble._triangle_sequence(n), c=n, variant=2)
+        expected = ledger_merge(triangles, assemble._hexagon_pair_rows(n)[:h])
+        assert families.label_c3c6(t, h).vanes == tuple(expected), (t, h)
 
 
 vane_lists = st.lists(
@@ -528,17 +690,31 @@ vane_lists = st.lists(
 @given(vane_lists, st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=5))
 def test_merge_hexagons_matches_iterated_merges_on_any_vanes(vanes, pairs):
     # repeated symbols, clashes, missing triangles and i == j all included
-    assert merge_outcome(merge_hexagons, vanes, pairs) == merge_outcome(
-        reference_merges, vanes, pairs
-    )
+    clash = first_clash(vanes, pairs)
+    if clash is None:
+        assert merge_outcome(merge_hexagons, vanes, pairs) == merge_outcome(
+            reference_merges, vanes, pairs
+        )
+        return
+    # merge_hexagons checks no label: through the pair the reference refused,
+    # its vanes repeat the sum, unless the vane holding it was a later
+    # triangle on i or j, which the merge consumes with the first
+    step, before, total, holder = clash
+    pair = pairs[step]
+    merged = merge_hexagons(vanes, pairs[: step + 1])
+    firsts = [next(v for v in before if len(v) == 3 and v[1] == sym) for sym in pair]
+    consumed = len(holder) == 3 and holder[1] in pair and holder not in firsts
+    assert consumed or sum(vane.count(total) for vane in merged) >= 2
 
 
 def test_single_merges_are_merge_hexagons():
     triples = [(0, 1, 6), (0, 2, 10), (0, 3, 7)]
-    with pytest.raises(LabelClash, match=r"vertex label 3 already used in \(0, 3, 7\)"):
-        merge_hexagons(triples, [(1, 2)])
     with pytest.raises(MissingTriple, match=r"no triangle \(0, 1, _\) present"):
         merge_hexagons(triples, [(1, 3), (1, 2)])  # the first merge consumed 1
+    # the first triangle on a symbol merges, and the merge consumes the others on it
+    assert merge_hexagons([(0, 4, 5), (0, 1, 9), *triples], [(1, 2)]) == [
+        (0, 4, 5), (0, 3, 7), (0, 9, 1, 3, 2, 10)
+    ]
 
 
 # -- vane builders against the PairSet path -------------------------------------

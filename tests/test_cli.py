@@ -129,6 +129,13 @@ def test_label_negative_count_rejected(capsys, graph):
     assert "negative vane count" in err
 
 
+@pytest.mark.parametrize("graph", ["cc3=4", "c+3=4", "c 3=2", "c3=+2", "c3=1_0"])
+def test_label_malformed_component_rejected(capsys, graph):
+    code, out, err = run(capsys, "label", "--graph", graph)
+    assert (code, out) == (3, "")
+    assert "bad graph spec component" in err
+
+
 def test_oracle_negative_count_rejected(capsys):
     code, out, err = run(capsys, "oracle", "--graph", "c3=2,c4=-1", "--mode", "graceful")
     assert (code, out) == (3, "")

@@ -68,6 +68,25 @@ def test_spec_parse_rejects_negative_counts(text):
         WindmillSpec.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["cc3=4", "c+3=4", "c 3=2", "c3=+2", "c3=1_0", "c3 =2", "c3=2=1", "3=2", "c-3=2", "c3=\u0662"]
+)
+def test_spec_parse_rejects_malformed_components(text):
+    # exactly one c, the length's decimal digits, =, then an optional - and digits
+    with pytest.raises(MalformedLabelling, match="bad graph spec component"):
+        WindmillSpec.parse(text)
+
+
+def test_spec_parse_keeps_its_error_texts():
+    assert WindmillSpec.parse(" C3=2 , c4=03,").vanes == ((3, 2), (4, 3))
+    with pytest.raises(MalformedLabelling, match="unsupported cycle length"):
+        WindmillSpec.parse("c03=1,c7=1")
+    with pytest.raises(MalformedLabelling, match="negative vane count"):
+        WindmillSpec.parse("c3=-0,c4=-1")
+    with pytest.raises(MalformedLabelling, match="empty graph spec"):
+        WindmillSpec.parse(" , ")
+
+
 def test_spec_parse_zero_count_means_no_vanes():
     assert WindmillSpec.parse("c3=4,c4=0") == WindmillSpec.parse("c3=4")
     with pytest.raises(MalformedLabelling, match="empty graph spec"):
