@@ -199,10 +199,9 @@ def search_labelling(
 
 def _symbols(kind: SequenceKind, n: int) -> list[int]:
     """The symbols of a search of nominal order n, largest first."""
-    near = kind.tag in ("near-skolem", "hooked-near-skolem")
-    if near and kind.defect > n:
+    if kind.near and kind.defect > n:
         raise ValueError(f"near-Skolem defect {kind.defect} exceeds order {n}")
-    expected = kind.expected_symbols(n - 1 if near else n)  # n counts the omitted symbol
+    expected = kind.expected_symbols(n - 1 if kind.near else n)  # n counts the omitted symbol
     if expected is None:
         raise ValueError(f"searching {kind.tag!r} needs an explicit symbol set")
     return sorted(expected, reverse=True)

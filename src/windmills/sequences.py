@@ -180,22 +180,27 @@ def _greedy_pairs(seq: SkolemTypeSequence) -> dict[int, list[Pair]]:
 # Sequence kinds and validation
 # ---------------------------------------------------------------------------
 
-KNOWN_TAGS = (
-    "skolem",
-    "hooked-skolem",
-    "near-skolem",
-    "hooked-near-skolem",
-    "langford",
-    "hooked-langford",
-    "skolem-type",
-    "two-fold-skolem",
-    "two-fold-langford",
-    "two-fold-skolem-type",
-)
+# Each kind's residues of the order mod 4 at which a sequence exists: one set
+# for an odd or absent defect, one for an even defect (a kind without a defect
+# has only the first).  None marks a kind with no existence rule.
+_RESIDUES = {
+    "skolem": ({0, 1},),
+    "hooked-skolem": ({2, 3},),
+    "near-skolem": ({0, 1}, {2, 3}),
+    "hooked-near-skolem": ({2, 3}, {0, 1}),
+    "langford": ({0, 1}, {0, 3}),
+    "hooked-langford": ({2, 3}, {1, 2}),
+    "skolem-type": None,
+    "two-fold-skolem": ({0, 1, 2, 3},),
+    "two-fold-langford": None,
+    "two-fold-skolem-type": None,
+}
+KNOWN_TAGS = tuple(_RESIDUES)
 
-_DEFECT_TAGS = frozenset(
-    {"near-skolem", "hooked-near-skolem", "langford", "hooked-langford", "two-fold-langford"}
-)
+
+def _takes_defect(tag: str) -> bool:
+    """The near-Skolem kinds omit their defect; the Langford kinds start at it."""
+    return "near" in tag or "langford" in tag
 
 
 @dataclass(frozen=True)
@@ -213,15 +218,12 @@ class SequenceKind:
     def __post_init__(self) -> None:
         if self.tag not in KNOWN_TAGS:
             raise UnknownKind(f"unknown sequence kind {self.tag!r}")
-        if self.tag in _DEFECT_TAGS:
+        if _takes_defect(self.tag):
             if self.defect is None or self.defect < 1:
                 raise ValueError(f"kind {self.tag!r} needs a positive defect")
         elif self.defect is not None:
             raise ValueError(f"kind {self.tag!r} takes no defect")
-        if self.symbols is not None and self.tag not in (
-            "skolem-type",
-            "two-fold-skolem-type",
-        ):
+        if self.symbols is not None and not self.tag.endswith("-type"):
             raise ValueError("explicit symbol sets only apply to the *-type kinds")
 
     @property
@@ -232,18 +234,23 @@ class SequenceKind:
     def hooked(self) -> bool:
         return self.tag.startswith("hooked")
 
+    @property
+    def near(self) -> bool:
+        """The nominal order counts the omitted defect (the near-Skolem kinds)."""
+        return "near" in self.tag
+
     def expected_symbols(self, order: int) -> frozenset[int] | None:
         """Symbol set this kind prescribes for a sequence of the given order."""
-        if self.tag in ("skolem", "hooked-skolem", "two-fold-skolem"):
-            return frozenset(range(1, order + 1))
-        if self.tag in ("near-skolem", "hooked-near-skolem"):
-            n = order + 1  # nominal order counts the omitted symbol
+        if self.tag.endswith("-type"):
+            return self.symbols  # None accepts any H
+        if self.near:
+            n = order + 1
             if not 1 <= self.defect <= n:
                 return frozenset()
             return frozenset(range(1, n + 1)) - {self.defect}
-        if self.tag in ("langford", "hooked-langford", "two-fold-langford"):
-            return frozenset(range(self.defect, self.defect + order))
-        return self.symbols  # *-type kinds; None accepts any H
+        if self.defect is None:
+            return frozenset(range(1, order + 1))
+        return frozenset(range(self.defect, self.defect + order))  # the Langford kinds
 
 
 @dataclass(frozen=True)
@@ -500,16 +507,11 @@ def gen_near_skolem_topdefect(n: int) -> SkolemTypeSequence:
     """
     if n % 2 == 0 or n < 11:
         raise UnsupportedOrder(f"no top-defect construction for order {n}")
+    m = n // 4  # at least 3 for n = 1 (mod 4) and 2 for n = 3 (mod 4), as n >= 11
     if n % 4 == 1:
-        m = n // 4
-        if m < 3:
-            raise UnsupportedOrder(f"no top-defect construction for order {n}")
         seq = _near_hooked_1mod4(m)
         kind = SequenceKind("hooked-near-skolem", defect=n - 1)
     else:
-        m = n // 4
-        if m < 2:
-            raise UnsupportedOrder(f"no top-defect construction for order {n}")
         seq = _near_plain_3mod4(m)
         kind = SequenceKind("near-skolem", defect=n - 1)
     return _ensure_valid(seq, kind)
@@ -678,11 +680,10 @@ def double(seq: SkolemTypeSequence) -> SkolemTypeSequence:
 def exists(kind, order: int | None = None, defect: int | None = None) -> bool:
     """Exact existence test for the classical sequence families.
 
-    ``kind`` may be a SequenceKind or a tag string: ``skolem``,
-    ``hooked-skolem``, ``langford``, ``hooked-langford``, ``near-skolem``,
-    ``hooked-near-skolem`` or ``two-fold-skolem``.  Two-fold Langford
-    sequences have no published characterisation, so that tag is rejected,
-    as is every other tag.
+    ``kind`` may be a SequenceKind or a tag string; the tag's row of
+    ``_RESIDUES`` gives the residues.  Two-fold Langford sequences have no
+    published characterisation, so that tag is rejected, as are the *-type
+    tags and every unknown tag.
     """
     if isinstance(kind, SequenceKind):
         tag = kind.tag
@@ -692,41 +693,21 @@ def exists(kind, order: int | None = None, defect: int | None = None) -> bool:
     if order is None or order < 1:
         raise ValueError("order must be a positive integer")
     n = order
-    r = n % 4
-
-    if tag == "skolem":
-        return r in (0, 1)
-    if tag == "hooked-skolem":
-        return r in (2, 3)
-    if tag == "langford":
-        d = _require_defect(tag, defect)
-        return n >= 2 * d - 1 and (
-            (r in (0, 1) and d % 2 == 1) or (r in (0, 3) and d % 2 == 0)
-        )
-    if tag == "hooked-langford":
-        d = _require_defect(tag, defect)
-        return n * (n - 2 * d + 1) + 2 >= 0 and (
-            (r in (2, 3) and d % 2 == 1) or (r in (1, 2) and d % 2 == 0)
-        )
-    if tag == "near-skolem":
-        m = _require_defect(tag, defect)
-        if m > n:
-            raise ValueError(f"near-Skolem defect {m} exceeds order {n}")
-        return (r in (0, 1) and m % 2 == 1) or (r in (2, 3) and m % 2 == 0)
-    if tag == "hooked-near-skolem":
-        m = _require_defect(tag, defect)
-        if m > n:
-            raise ValueError(f"near-Skolem defect {m} exceeds order {n}")
-        return (r in (0, 1) and m % 2 == 0) or (r in (2, 3) and m % 2 == 1)
-    if tag == "two-fold-skolem":
-        return True
-    raise UnknownKind(f"no existence rule for kind {tag!r}")
-
-
-def _require_defect(tag: str, defect: int | None) -> int:
-    if defect is None or defect < 1:
-        raise ValueError(f"kind {tag!r} needs a positive defect")
-    return defect
+    row = _RESIDUES[tag] if tag in KNOWN_TAGS else None  # an unhashable tag is unknown
+    if row is None:
+        raise UnknownKind(f"no existence rule for kind {tag!r}")
+    even = False
+    if _takes_defect(tag):
+        if defect is None or defect < 1:
+            raise ValueError(f"kind {tag!r} needs a positive defect")
+        if "near" in tag and defect > n:
+            raise ValueError(f"near-Skolem defect {defect} exceeds order {n}")
+        if tag == "langford" and n < 2 * defect - 1:
+            return False
+        if tag == "hooked-langford" and n * (n - 2 * defect + 1) + 2 < 0:
+            return False
+        even = defect % 2 == 0
+    return n % 4 in row[even]
 
 
 # ---------------------------------------------------------------------------
@@ -835,8 +816,6 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
                 best, best_count = cell, count
                 if count == 1:
                     break
-        if best < 0:  # symbols are left but no cell is empty
-            return False
         as_left = (free >> best) & rem
         as_right = (rev >> (top - best)) & rem
         options = as_left | as_right

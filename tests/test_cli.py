@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import json
 
@@ -48,6 +50,10 @@ def test_seq_gen_kinds(capsys):
 def test_seq_gen_unsupported_order(capsys):
     code, _, err = run(capsys, "seq", "gen", "--kind", "skolem", "--order", "6")
     assert code == 2 and "NoSuchSequence" in err
+    for order in (7, 8, 9):  # below the top-defect table's order 11
+        code, _, err = run(capsys, "seq", "gen", "--kind", "near-top", "--order", str(order))
+        assert code == 2
+        assert err == f"error: UnsupportedOrder: no top-defect construction for order {order}\n"
 
 
 def test_seq_gen_empty_sequence_rejected(capsys):
@@ -383,3 +389,21 @@ def test_parser_reuse_leaks_no_state(capsys, tmp_path):
     assert together[3][1] == "none (exhaustive, 2520 nodes)\n"
     assert together[4][1].startswith("ok (near-graceful, m=3) [permissive variant")
     assert together[5][1].startswith("FAILED (near-graceful, m=3)")
+
+
+# sha256 over `label --json` of 1,484 C3, C5, C3C5 and C3C6 graphs, each with its exit code
+LABEL_GRID = "8b9ca9b8ac7571381d5a968375a634650e1aa789100fc0a31fb905eac5988b5c"
+
+
+def test_label_json_grid_is_pinned():
+    graphs = [f"c3={t}" for t in range(1, 201)] + [f"c5={p}" for p in range(1, 151)]
+    graphs += [f"c3={t},c5={p}" for p in range(1, 9) for t in range(1, 2 * p + 10)]
+    graphs += [f"c3={t},c6={h}" for t in range(1, 31) for h in range(1, 2 * t + 3)]
+    assert len(graphs) == 1484
+    digest = hashlib.sha256()
+    for graph in graphs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["label", "--graph", graph, "--json"])
+        digest.update(f"{graph},{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    assert digest.hexdigest() == LABEL_GRID

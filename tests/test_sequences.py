@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windmills import sequences
+from windmills import oracle, sequences
 from windmills.errors import (
     HookedOperand,
     NoSuchSequence,
@@ -38,6 +38,7 @@ from windmills.sequences import (
     validate,
 )
 
+import reference_kinds
 from reference_pairing import PairSet, pairs_of
 
 
@@ -617,6 +618,47 @@ def test_exists_table_rows():
     assert not exists(SequenceKind("langford", defect=2), 5)  # kind objects work too
     with pytest.raises(UnknownKind):
         exists("two-fold-langford", 3, defect=5)
+    with pytest.raises(UnknownKind):
+        exists(["skolem"], 4)  # an unhashable tag is unknown too
+
+
+def call_outcome(call, *args):
+    """A call's value, or its exception's type and text."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def test_kind_table_matches_the_per_tag_rules():
+    # every tag and an unknown one, orders None, -1, 0..40 and defects None, -1,
+    # 0..12 (7,095 cases); kinds are also built with an explicit symbol set
+    assert sequences.KNOWN_TAGS == reference_kinds.KNOWN_TAGS
+    orders = (None, -1, *range(41))
+    cases = 0
+    for tag in (*reference_kinds.KNOWN_TAGS, "mystery"):
+        for defect in (None, -1, *range(13)):
+            for order in orders:
+                got = call_outcome(exists, tag, order, defect)
+                assert got == call_outcome(reference_kinds.exists, tag, order, defect)
+                cases += 1
+            for symbols in (None, frozenset({2, 3})):
+                kind = call_outcome(SequenceKind, tag, defect, symbols)
+                ref = call_outcome(reference_kinds.SequenceKind, tag, defect, symbols)
+                if not isinstance(kind, SequenceKind):
+                    assert kind == ref, (tag, defect, symbols)
+                    continue
+                assert isinstance(ref, reference_kinds.SequenceKind)
+                assert (kind.fold, kind.hooked) == (ref.fold, ref.hooked)
+                for order in orders:
+                    for call, want in (
+                        (exists, reference_kinds.exists),
+                        (oracle._symbols, reference_kinds._symbols),
+                        (SequenceKind.expected_symbols, reference_kinds.SequenceKind.expected_symbols),
+                    ):
+                        got = call_outcome(call, kind, order)
+                        assert got == call_outcome(want, ref, order), (call, tag, defect, symbols, order)
+    assert cases == 7095
 
 
 @pytest.mark.parametrize("n", range(1, 201))
