@@ -3,8 +3,10 @@
 Each public ``label_*`` routine picks sequences, shifts and compositions for
 one windmill family and returns a verified labelling.  A triangle/square
 cell is planned first: ``_plan_c3c4`` walks the rule function ``_c3c4_rule``
-down the extension bases.  The build, ``replay`` and the coverage audit all
-read that plan, and the plan is the construction trace ``label_c3c4`` returns.
+down the extension bases.  By the coverage lemma of ``_extension_k`` every
+cell has a plan.  The build and ``replay`` read that plan, the coverage audit
+reads each cell's rule, and the plan is the construction trace ``label_c3c4``
+returns.
 """
 
 from __future__ import annotations
@@ -255,17 +257,17 @@ RULES = frozenset(_SQUARE_BLOCKS) | {
 }
 
 
-def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | None:
-    """The rule covering C3^t C4^s and its trace parameters; None if none does.
+def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict]:
+    """The rule covering C3^t C4^s (t >= 1, s >= 0) and its trace parameters.
 
     This is the only statement of the rule precedence and its preconditions;
     ``_plan_c3c4`` applies it to a cell and to each extension base below it.
     ``straddle`` marks the base of an extension at t = 2, 3 (mod 4); at
     t <= 3 it picks the catalogued rows, whose labels above the square shift
-    are the paper's tail triangles.
+    are the paper's tail triangles.  The result is never None: by the
+    coverage lemma of ``_extension_k`` a cell that no direct rule, catalogued
+    base or extension covers is one of the packaged gap fixtures.
     """
-    if t < 1 or s < 0:
-        return None
     if s == 0:
         return "triangles-only", {"t": t}
     if t <= 3 and (straddle or s > t) and _base_case_available(t, s):
@@ -286,25 +288,20 @@ def _c3c4_rule(t: int, s: int, straddle: bool = False) -> tuple[str, dict] | Non
     k = _extension_k(t, s)
     if k is not None:
         return f"extension-case{t % 4 + 1}", {"t": t, "s": s, "k": k, "s_base": s - 4 * k + 1}
-    if _load_gap_fixture(t, s) is not None:
-        return "gap-fixture", {"t": t, "s": s}
-    return None
+    return "gap-fixture", {"t": t, "s": s}
 
 
-def _plan_c3c4(t: int, s: int, straddle: bool = False) -> ConstructionTrace | None:
-    """The rule tree for C3^t C4^s, or None if a node of it has no rule.
+def _plan_c3c4(t: int, s: int, straddle: bool = False) -> ConstructionTrace:
+    """The rule tree for C3^t C4^s; nothing is built.
 
     An extension node has one child, the plan of its base, whose rule is
-    chosen with ``straddle`` set at t = 2, 3 (mod 4).  Nothing is built.
+    chosen with ``straddle`` set at t = 2, 3 (mod 4).
     """
-    found = _c3c4_rule(t, s, straddle)
-    if found is None:
-        return None
-    rule, params = found
+    rule, params = _c3c4_rule(t, s, straddle)
     if not rule.startswith("extension-case"):
         return ConstructionTrace(rule, params)
     base = _plan_c3c4(t, params["s_base"], straddle=t % 4 in (2, 3))
-    return None if base is None else ConstructionTrace(rule, params, (base,))
+    return ConstructionTrace(rule, params, (base,))
 
 
 def _build_c3c4(plan: ConstructionTrace) -> Labelling:
@@ -330,22 +327,22 @@ def label_c3c4(t: int, s: int) -> tuple[Labelling, ConstructionTrace]:
 
     Graceful exactly when t = 0, 1 (mod 4).  Rule precedence: direct
     constructions, then catalogued base cases, then the square-block
-    extension, then gap fixtures.
+    extension, then gap fixtures.  A gap fixture that is not packaged raises
+    NotInTable.
     """
     if t < 1:
         raise Unlabellable("windmills without triangle vanes are not covered")
     if s < 0:
         raise OutOfRange(f"need s >= 0, got {s}")
     plan = _plan_c3c4(t, s)
-    if plan is None:
-        raise Unlabellable(f"no rule covers C3^{t}C4^{s}")
     return _build_c3c4(plan), plan
 
 
 def replay(trace: ConstructionTrace) -> bool:
-    """Whether a trace is the plan of its own cell, every node and parameter."""
-    p = trace.parameters
-    return trace == _plan_c3c4(p["t"], p.get("s", 0))
+    """Whether a trace is the plan of its own cell (t >= 1, s >= 0), every node
+    and parameter."""
+    t, s = trace.parameters["t"], trace.parameters.get("s", 0)
+    return t >= 1 and s >= 0 and trace == _plan_c3c4(t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +352,13 @@ def replay(trace: ConstructionTrace) -> bool:
 _BASE_CASE_RANGE = {1: range(1, 21), 2: range(1, 21), 3: range(1, 20)}
 
 
-def _fixture_text(name: str) -> str | None:
-    path = resources.files("windmills") / "fixtures" / name
-    try:
-        return path.read_text()
-    except FileNotFoundError:
-        return None
-
-
 @lru_cache(maxsize=None)
-def _load_fixture(name: str) -> Labelling | None:
-    text = _fixture_text(name)
-    if text is None:
-        return None
-    obj = json.loads(text)
-    labelling = from_json_obj(obj)
+def _load_fixture(name: str) -> Labelling:
+    try:
+        text = (resources.files("windmills") / "fixtures" / name).read_text()
+    except FileNotFoundError:
+        raise NotInTable(f"fixture file {name} is not packaged") from None
+    labelling = from_json_obj(json.loads(text))
     report = verify(labelling)
     if not report.ok:
         raise InvalidSequence(f"fixture {name} failed verification: {report.summary()}")
@@ -384,13 +373,10 @@ def base_case_c3c4(t: int, s: int) -> Labelling:
     """Catalogued labelling for one, two or three triangles and few squares."""
     if not _base_case_available(t, s):
         raise NotInTable(f"no catalogued labelling for C3^{t}C4^{s}")
-    lab = _load_fixture(f"c3c4_base_t{t}_s{s}.json")
-    if lab is None:  # pragma: no cover - packaged data
-        raise NotInTable(f"fixture file for C3^{t}C4^{s} is missing")
-    return lab
+    return _load_fixture(f"c3c4_base_t{t}_s{s}.json")
 
 
-def _load_gap_fixture(t: int, s: int) -> Labelling | None:
+def _load_gap_fixture(t: int, s: int) -> Labelling:
     return _load_fixture(f"c3c4_gap_t{t}_s{s}.json")
 
 
@@ -457,36 +443,23 @@ GAP = "GAP"
 
 
 def coverage_audit(t_max: int, s_max: int) -> Iterator[tuple[tuple[int, int], str]]:
-    """Each cell's ``((t, s), rule)`` in (t, s) order, planned as it is read.
+    """Each cell's ``((t, s), rule)`` in (t, s) order, computed as it is read.
 
     Bounds are checked at the call; no labellings are built.  A cell is GAP
-    when it has no plan or its plan is a gap fixture.
+    when its rule is a gap fixture and ``extension`` for any extension case;
+    by the coverage lemma every cell has a plan, so nothing below a cell's
+    own rule is read.
     """
     if t_max < 1 or s_max < 1:
         raise OutOfRange("audit bounds must be >= 1")
-    return _audit_cells(t_max, s_max)
 
+    def cells():
+        for t in range(1, t_max + 1):
+            for s in range(s_max + 1):
+                rule = _c3c4_rule(t, s)[0]
+                if rule.startswith("extension-case"):
+                    rule = "extension"
+                yield (t, s), GAP if rule == "gap-fixture" else rule
 
-def _audit_cells(t_max: int, s_max: int) -> Iterator[tuple[tuple[int, int], str]]:
-    # An extension cell has a plan when its base has one.  The base lies
-    # earlier in the same row (s_base < s), so the row remembers which of its
-    # cells have a plan.  ``straddle`` changes the base's rule only at t <= 3,
-    # where the base is planned as ``_plan_c3c4`` plans it.
-    for t in range(1, t_max + 1):
-        planned = bytearray(s_max + 1)
-        straddled = t <= 3 and t % 4 in (2, 3)
-        for s in range(s_max + 1):
-            found = _c3c4_rule(t, s)
-            if found is None:
-                rule = GAP
-            elif found[0].startswith("extension-case"):
-                s_base = found[1]["s_base"]
-                if straddled:
-                    planned[s] = _plan_c3c4(t, s_base, straddle=True) is not None
-                else:
-                    planned[s] = planned[s_base]
-                rule = "extension" if planned[s] else GAP
-            else:
-                planned[s] = True
-                rule = GAP if found[0] == "gap-fixture" else found[0]
-            yield (t, s), rule
+    return cells()
+

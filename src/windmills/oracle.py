@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 from .errors import OrderTooLarge, SpecTooLarge
 from .sequences import SequenceKind, SkolemTypeSequence, validate
-from .windmill import (
-    GRACEFUL,
-    Labelling,
-    NEAR_GRACEFUL,
-    WindmillSpec,
-    labels,
-    to_json_obj,
-    verify,
-)
+from .windmill import Labelling, WindmillSpec, labels, to_json_obj, verify
 
 HARD_CAP_EDGES = 48
 ENUM_CAP_ORDER = 12
@@ -153,13 +145,11 @@ def search_labelling(
     mode: str,
     max_label: int | None = None,
     node_budget: int | None = None,
-    permissive: bool = False,
 ) -> SearchResult:
     """Find a verified labelling, prove none exists, or run out of budget.
 
-    Labels come from ``windmill.labels``, cut at ``max_label``.  With
-    ``permissive`` a near graceful search also tries edges [1, m] with
-    vertices up to m+1, on its own ``node_budget``.
+    The edge labels are ``windmill.labels`` of ``mode``, and so are the vertex
+    labels, cut at ``max_label``.
     """
     m = spec.edge_count
     if m > HARD_CAP_EDGES:
@@ -167,29 +157,19 @@ def search_labelling(
     cycles = sorted(
         (length for length, count in spec.vanes for _ in range(count)), reverse=True
     )
-    targets = [(labels(m, mode), labels(m, mode))]  # (edges, vertices)
-    if permissive and mode == NEAR_GRACEFUL:
-        targets.append((labels(m, GRACEFUL), labels(m + 1, GRACEFUL)))
-
-    total_nodes = 0
-    budget_hit = False
-    for edges, vertices in targets:
-        if max_label is not None:
-            vertices = [v for v in vertices if v <= max_label]
-        try:
-            vanes, nodes = _search_vanes(cycles, vertices, edges, node_budget)
-        except _BudgetExhausted as exc:
-            total_nodes += exc.nodes
-            budget_hit = True
-            continue
-        total_nodes += nodes
-        if vanes is not None:
-            labelling = Labelling(spec=spec, vanes=vanes, mode=mode)
-            report = verify(labelling, permissive_near=permissive)
-            if not report.ok:  # pragma: no cover - search and verifier agree
-                raise AssertionError(f"oracle produced a bad labelling: {report}")
-            return SearchResult(FOUND, labelling, total_nodes)
-    return SearchResult(BUDGET_EXHAUSTED if budget_hit else NONE, None, total_nodes)
+    edges = labels(m, mode)
+    vertices = [v for v in edges if max_label is None or v <= max_label]
+    try:
+        vanes, nodes = _search_vanes(cycles, vertices, edges, node_budget)
+    except _BudgetExhausted as exc:
+        return SearchResult(BUDGET_EXHAUSTED, None, exc.nodes)
+    if vanes is None:
+        return SearchResult(NONE, None, nodes)
+    labelling = Labelling(spec=spec, vanes=vanes, mode=mode)
+    report = verify(labelling)
+    if not report.ok:  # pragma: no cover - search and verifier agree
+        raise AssertionError(f"oracle produced a bad labelling: {report}")
+    return SearchResult(FOUND, labelling, nodes)
 
 
 # ---------------------------------------------------------------------------

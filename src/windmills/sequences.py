@@ -731,16 +731,17 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
     if l == 2 * d - 1:
         return gen_langford_doubledefect(d)
     if l >= 8 * d - 4:
-        # Very long orders split into a closed-form head and a searched tail; if
-        # the tail does not exist or runs out of budget, the whole order is searched.
-        tail_d, tail_l = 3 * d - 1, l - (2 * d - 1)
+        # Very long orders split into a closed-form head of order 2d-1 and a
+        # searched tail (3d-1, l-2d+1), which always exists: its order is at
+        # least 6d-3 = 2(3d-1)-1; at odd d it is l+3, so 3 or 0 (mod 4), and
+        # its defect is even (residues 0, 3); at even d it is l+1, so 1 or 0,
+        # and its defect is odd (residues 0, 1).  If the tail search runs out
+        # of budget, the whole order is searched.
         try:
-            if exists("langford", order=tail_l, defect=tail_d):
-                head = gen_langford_doubledefect(d)
-                tail = langford_sequence(tail_d, tail_l)
-                seq = concat([head, tail])
-                return _ensure_valid(seq, SequenceKind("langford", defect=d))
-        except (NoSuchSequence, SearchBudgetExhausted):
+            tail = langford_sequence(3 * d - 1, l - (2 * d - 1))
+            seq = concat([gen_langford_doubledefect(d), tail])
+            return _ensure_valid(seq, SequenceKind("langford", defect=d))
+        except SearchBudgetExhausted:
             pass
     entries = _search_pairs(range(d, d + l), 2 * l)
     if entries is None:

@@ -326,6 +326,34 @@ def test_audit_bad_bounds_print_nothing(capsys):
     assert "OutOfRange" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, last_line",
+    [
+        (["oracle", "--graph", "c3=1"], 3, "error: oracle --graph needs --mode"),
+        (["oracle"], 3, "error: oracle needs --graph or --seq-kind"),
+        (["oracle", "--seq-kind", "skolem"], 3, "error: oracle --seq-kind needs --order"),
+        (["seq", "gen", "--kind", "skolem"], 3, "error: skolem needs --order"),
+        (["seq", "gen", "--kind", "langford2d"], 3, "error: langford2d needs --defect"),
+        (["verify", "--file", "{missing}"], 3, "error: cannot read {missing}: "),
+        (
+            ["seq", "validate", "--file", "{missing}", "--kind", "skolem"],
+            3,
+            "error: cannot read {missing}: ",
+        ),
+        (
+            ["audit", "--t-max", "3", "--s-max", "30"],
+            0,
+            "5 gap cells: [(1, 21), (1, 25), (2, 25), (3, 20), (3, 25)]",
+        ),
+    ],
+)
+def test_cli_exit_paths(capsys, tmp_path, argv, code, last_line):
+    missing = tmp_path / "missing.json"
+    got, out, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
+    assert got == code
+    assert (out + err).splitlines()[-1].startswith(last_line.format(missing=missing))
+
+
 def test_sweep_text(capsys):
     code, out, _ = run(capsys, "sweep", "--t", "4", "--s", "0..1")
     assert code == 0

@@ -53,8 +53,7 @@ def test_search_near_mode_and_permissive():
     strict = search_labelling(WindmillSpec.of((3, 2)), NEAR_GRACEFUL)
     assert strict.status == FOUND
     assert verify(strict.labelling).ok
-    permissive = search_labelling(WindmillSpec.of((3, 2)), NEAR_GRACEFUL, permissive=True)
-    assert permissive.status == FOUND
+    assert verify(strict.labelling, permissive_near=True).ok
 
 
 def test_search_budget():
@@ -147,8 +146,8 @@ def test_search_max_label_below_top():
 @pytest.mark.parametrize("mode", [GRACEFUL, NEAR_GRACEFUL])
 def test_search_max_label_above_top_is_ignored(mode):
     spec = WindmillSpec.of((4, 1))
-    plain = search_labelling(spec, mode, permissive=True)
-    assert search_labelling(spec, mode, max_label=7, permissive=True) == plain
+    plain = search_labelling(spec, mode)
+    assert search_labelling(spec, mode, max_label=7) == plain
 
 
 def test_search_twofold_order_two_enumeration():

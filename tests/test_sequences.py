@@ -698,6 +698,23 @@ def test_langford_sequence_long_order_split():
     )
 
 
+@pytest.mark.parametrize("d_mod_2, l_mod_4", [(1, 0), (1, 1), (0, 0), (0, 3)])
+def test_long_order_split_tail_is_admissible_per_residue_class(d_mod_2, l_mod_4):
+    # an admissible (d, l) has l mod 4 in row[d even]; the tail (3d-1, l-2d+1)
+    # has the other defect parity and order l+3 (odd d) or l+1 (even d) mod 4
+    row = sequences._RESIDUES["langford"]
+    assert l_mod_4 in row[d_mod_2 == 0]
+    assert (l_mod_4 - 2 * d_mod_2 + 1) % 4 in row[d_mod_2 == 1]
+
+
+def test_long_order_split_tail_exists_whenever_the_order_does():
+    # at l = 8d-4 the tail order 6d-3 is the tail's lower bound 2(3d-1)-1
+    for d in range(1, 61):
+        for l in range(8 * d - 4, 8 * d + 100):
+            if exists("langford", order=l, defect=d):
+                assert exists("langford", order=l - (2 * d - 1), defect=3 * d - 1), (d, l)
+
+
 def test_long_order_split_searches_directly_when_the_tail_runs_out(monkeypatch):
     # Under 50,000 placements the tails (26, 52), (29, 60) and (29, 61) run
     # out, and the whole orders are then found directly within their own budget.
