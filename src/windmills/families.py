@@ -340,8 +340,11 @@ def label_c3c4(t: int, s: int) -> tuple[Labelling, ConstructionTrace]:
 
 def replay(trace: ConstructionTrace) -> bool:
     """Whether a trace is the plan of its own cell (t >= 1, s >= 0), every node
-    and parameter."""
-    t, s = trace.parameters["t"], trace.parameters.get("s", 0)
+    and parameter; False for a trace without an int ``t``, or with a non-int
+    ``s`` (a triangles-only plan records no ``s``)."""
+    t, s = trace.parameters.get("t"), trace.parameters.get("s", 0)
+    if type(t) is not int or type(s) is not int:  # bools too
+        return False
     return t >= 1 and s >= 0 and trace == _plan_c3c4(t, s)
 
 

@@ -5,7 +5,9 @@ constructive machinery, and it reports "none" only when the search space was
 provably exhausted under its symmetry reduction.  Each cut keeps a member of
 every symmetry class: the labelling search orients vanes, orders equal vanes
 and flips triangles (``_search_vanes``); a find search for a hook-free
-one-fold sequence uses reversal (``search_sequence``).
+one-fold sequence uses reversal (``search_sequence``).  The labelling search
+also looks ahead with one exact test, which drops only subtrees holding no
+labelling: the triangle fit (``_triangles_fit``).
 """
 
 from __future__ import annotations
@@ -58,6 +60,45 @@ class _BudgetExhausted(Exception):
         self.nodes = nodes
 
 
+def _triangles_fit(
+    rest: int, spokes: int, nodes: int, node_budget: int | None
+) -> tuple[bool, int]:
+    """Whether triangles can take exactly the edge labels ``rest``: (fits, nodes).
+
+    ``rest`` and ``spokes`` are bitmasks; ``spokes`` holds the labels that may
+    be a vertex.  A triangle ``(0, a, b)`` with ``b > a`` takes the edges
+    ``{a, b - a, b}``, so the check splits ``rest`` into triples
+    ``{x, y, x + y}``, ``x < y``, whose sum and at least one of ``x, y`` are
+    spokes.  It branches on the largest label left, which only a triple's sum
+    can take.  Each split tried is a node, counted on from ``nodes``; it
+    raises ``_BudgetExhausted`` past ``node_budget`` nodes.
+    """
+
+    def fit(rest: int) -> bool:
+        nonlocal nodes
+        if not rest:
+            return True
+        z = rest.bit_length() - 1
+        if not spokes >> z & 1:
+            return False
+        rest ^= 1 << z
+        half = z // 2 + 1
+        ys = rest >> half << half  # y > z - y
+        while ys:
+            y = ys.bit_length() - 1
+            ys ^= 1 << y
+            x = z - y
+            if rest >> x & 1 and (spokes >> x | spokes >> y) & 1:
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    raise _BudgetExhausted(nodes)
+                if fit(rest ^ (1 << x) ^ (1 << y)):
+                    return True
+        return False
+
+    return fit(rest), nodes
+
+
 def _search_vanes(
     cycles: list[int], vertices: list[int], edges: list[int], node_budget: int | None
 ) -> tuple[list[tuple[int, ...]] | None, int]:
@@ -88,11 +129,25 @@ def _search_vanes(
     the result is a labelling whose triangles all pass the cut.  Ordering
     the equal vanes again by first vertex gives a labelling this search
     admits.
+
+    One lookahead cut, removing only subtrees that hold no labelling, so the
+    first labelling found is the one the search without it finds.  The
+    triangle fit: at the start of the first triangle, the free edge labels
+    split into triangles (``_triangles_fit``, whose splits count as nodes).
+    A triangle ``(0, a, b)`` with ``b > a`` has the edges ``{a, b - a, b}``
+    and the vertices ``{a, b}``, and both vertices are edge labels of it.
+    So distinct edge labels already make the vertices of distinct triangles
+    distinct, and a split of the free edge labels into triples
+    ``{x, y, x + y}`` whose sum and one of ``x, y`` are free vertex labels
+    is a completion of the longer vanes placed so far.  The flip argument
+    above, applied to that completion, gives one this search admits, so a
+    split exists exactly when a completion does.
     """
     if cycles != sorted(cycles, reverse=True):
         raise ValueError(f"cycles must be sorted longest first, got {cycles}")
     vanes = [[0] * length for length in cycles]
     top = max(edges + vertices, default=0)
+    first_triangle = cycles.index(3) if 3 in cycles else -1
     nodes = 0
 
     def rec(idx: int, pos: int, free: int, mask: int, mirror: int) -> bool:
@@ -101,6 +156,10 @@ def _search_vanes(
         nonlocal nodes
         if idx == len(cycles):
             return True
+        if pos == 1 and idx == first_triangle:
+            fits, nodes = _triangles_fit(mask, mask & free, nodes, node_budget)
+            if not fits:
+                return False
         length = cycles[idx]
         vane = vanes[idx]
         prev = vane[pos - 1]
@@ -149,7 +208,8 @@ def search_labelling(
     """Find a verified labelling, prove none exists, or run out of budget.
 
     The edge labels are ``windmill.labels`` of ``mode``, and so are the vertex
-    labels, cut at ``max_label``.
+    labels, cut at ``max_label``.  ``node_budget`` bounds every node the
+    search counts, the triangle fit's splits included.
     """
     m = spec.edge_count
     if m > HARD_CAP_EDGES:

@@ -266,7 +266,7 @@ def test_oracle_negative_names_the_max_label_cut(capsys):
     )
     assert code == 0 and out.strip() == "none with labels up to 3 (exhaustive, 8 nodes)"
     code, out, _ = run(capsys, "oracle", "--graph", "c3=2", "--mode", "graceful")
-    assert code == 0 and out.strip() == "none (exhaustive, 14 nodes)"
+    assert code == 0 and out.strip() == "none (exhaustive, 2 nodes)"
     capped = run(capsys, "oracle", "--graph", "c3=2", "--mode", "graceful", "--max-label", "6")
     assert capped[:2] == (0, out)
 
@@ -414,7 +414,7 @@ def test_parser_reuse_leaks_no_state(capsys, tmp_path):
     assert codes == [0, 0, 4, 0, 0, 1, ("exit", 2), ("exit", 2), 0, 1, 0]
     assert together[0][1].startswith("{") and together[1][1].startswith("c3=4  m=12  mode=graceful\n")
     assert together[2][1] == "budget exhausted after 6 nodes\n"
-    assert together[3][1] == "none (exhaustive, 2520 nodes)\n"
+    assert together[3][1] == "none (exhaustive, 572 nodes)\n"
     assert together[4][1].startswith("ok (near-graceful, m=3) [permissive variant")
     assert together[5][1].startswith("FAILED (near-graceful, m=3)")
 

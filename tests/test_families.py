@@ -842,6 +842,32 @@ def test_replay_rejects_cells_outside_the_rule_domain():
     assert not replay(ConstructionTrace("triangles-only", {"t": 0}))
 
 
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {},
+        {"s": 3},
+        {"t": "4"},
+        {"t": 4.0},
+        {"t": None},
+        {"t": True},
+        {"t": 4, "s": "3"},
+        {"t": 4, "s": False},
+        {"t": 4, "s": None},
+    ],
+)
+def test_replay_rejects_a_missing_or_non_int_count(parameters):
+    # a bool count passes the rule's range checks; a missing or str one fails in them
+    for rule in ("triangles-only", "twofold-direct"):
+        assert not replay(ConstructionTrace(rule, parameters))
+
+
+def test_replay_reads_a_missing_s_as_zero():
+    _, trace = label_c3c4(5, 0)
+    assert trace == ConstructionTrace("triangles-only", {"t": 5}) and replay(trace)
+    assert not replay(ConstructionTrace("twofold-direct", {"t": 5}))
+
+
 def test_gap_cells_still_label():
     for t, s in EXPECTED_GAPS:
         lab, trace = label_c3c4(t, s)

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from windmills.oracle import (
     NONE,
     _BudgetExhausted,
     _search_vanes,
+    _triangles_fit,
     fixture_json_obj,
     search_labelling,
     search_sequence,
@@ -28,13 +32,13 @@ def test_search_two_triangles_graceful_is_exhaustively_empty():
     result = search_labelling(WindmillSpec.of((3, 2)), GRACEFUL)
     assert result.status == NONE
     assert result.exhaustive
-    assert result.nodes == 14
+    assert result.nodes == 2
 
 
 def test_search_three_triangles_graceful_is_exhaustively_empty():
     result = search_labelling(WindmillSpec.of((3, 3)), GRACEFUL)
     assert result.status == NONE and result.exhaustive
-    assert result.nodes == 69
+    assert result.nodes == 10
 
 
 def test_search_two_pentagons_graceful_is_exhaustively_empty():
@@ -140,7 +144,7 @@ def test_dispatcher_oracle_agreement_small():
 
 def test_search_max_label_below_top():
     result = search_labelling(WindmillSpec.of((3, 1)), GRACEFUL, max_label=2)
-    assert (result.status, result.nodes) == (NONE, 2)
+    assert (result.status, result.nodes) == (NONE, 0)
 
 
 @pytest.mark.parametrize("mode", [GRACEFUL, NEAR_GRACEFUL])
@@ -174,9 +178,10 @@ def test_search_sequence_enumeration_order(tag, n, count, first, last):
 @pytest.mark.parametrize(
     "spec, mode, nodes",
     [
-        ("c3=2,c4=2", GRACEFUL, 314095),
-        ("c3=6", GRACEFUL, 39058),
-        ("c3=2,c6=2", NEAR_GRACEFUL, 59644),
+        ("c3=2,c4=2", GRACEFUL, 77637),
+        ("c3=6", GRACEFUL, 1018),
+        ("c3=7", GRACEFUL, 6546),
+        ("c3=2,c6=2", NEAR_GRACEFUL, 31011),
     ],
 )
 def test_search_heavy_node_counts(spec, mode, nodes):
@@ -194,29 +199,166 @@ def test_search_heavy_node_counts(spec, mode, nodes):
         )
 
 
+# every triangle (0, a, b) with a < b <= 15, by its smallest edge label
+TRIANGLES_BY_LOW = {
+    low: [(a, b) for b in range(3, 16) for a in range(1, b) if 2 * a != b and min(a, b - a) == low]
+    for low in range(1, 8)
+}
+
+
+def triangle_completions(rest, spokes):
+    """Every set of triangles (0, a, b), a < b, with a and b in ``spokes``, whose
+    edges {a, b - a, b} are exactly ``rest``; one triangle covers min(rest)."""
+    if not rest:
+        yield ()
+        return
+    for a, b in TRIANGLES_BY_LOW.get(min(rest), ()):
+        edges = {a, b - a, b}
+        if edges <= rest and {a, b} <= spokes:
+            for others in triangle_completions(rest - edges, spokes):
+                yield ((a, b), *others)
+
+
+def as_mask(values):
+    return sum(1 << v for v in values)
+
+
+FIT_SPOKES = [
+    set(range(1, 16)),
+    set(range(1, 16, 2)),
+    set(range(2, 16, 2)),
+    set(range(5, 16)),
+    {v for v in range(1, 16) if v % 3},
+    {1, 2, 4, 7, 8, 11, 13, 14, 15},
+]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_triangles_fit_matches_brute_force(k):
+    """The fit check passes exactly when some set of triangles completes the
+    edge labels, over every 3k-subset of {1..15} and each spoke set."""
+    fits = 0
+    for rest in itertools.combinations(range(1, 16), 3 * k):
+        rest = set(rest)
+        for spokes in FIT_SPOKES:
+            got, _ = _triangles_fit(as_mask(rest), as_mask(rest & spokes), 0, None)
+            want = next(triangle_completions(rest, spokes), None) is not None
+            assert got == want, (sorted(rest), sorted(spokes))
+            fits += got
+    assert fits == {0: 6, 1: 183, 2: 1470, 3: 2805}[k]
+
+
+def test_triangles_fit_counts_and_bounds_its_splits():
+    rest = as_mask(range(1, 13))  # the graceful C3^4 labels
+    fits, nodes = _triangles_fit(rest, rest, 0, None)
+    assert fits and nodes > 0
+    assert _triangles_fit(rest, rest, 100, None) == (True, 100 + nodes)
+    assert _triangles_fit(rest, rest, 0, nodes) == (True, nodes)
+    with pytest.raises(_BudgetExhausted) as exc:
+        _triangles_fit(rest, rest, 0, nodes - 1)
+    assert exc.value.nodes == nodes
+    # the largest label must be a vertex, and so one of each split's halves
+    assert _triangles_fit(rest, rest ^ 1 << 12, 0, None) == (False, 0)
+    assert _triangles_fit(as_mask({1, 2, 3}), as_mask({3}), 0, None) == (False, 0)
+
+
+# Every c3..c6 mix with at most 12 edges, in both modes, with every vertex
+# label (G, N) and with labels up to m - 2 (g, n).  Past 12 edges, the
+# searches of that grid up to 24 edges that the search without the triangle
+# fit decided within 500,000 nodes.
+ORACLE_GRID_ABOVE_12 = """
+c6=3:N c5=1,c6=2:N c5=2,c6=1:G c5=3:Ggn c4=1,c6=2:G c4=1,c5=1,c6=1:G
+c4=1,c5=2:gNn c4=2,c6=1:gNn c4=2,c5=1:GgNn c4=2,c5=1,c6=1:G c4=3,c6=1:N
+c4=3,c5=1:N c4=4:Ggn c4=5:G c3=1,c6=2:G c3=1,c5=1,c6=1:gNn c3=1,c5=2:GgNn
+c3=1,c5=2,c6=1:G c3=1,c5=3:N c3=1,c4=1,c6=1:gNn c3=1,c4=1,c6=2:G
+c3=1,c4=1,c5=1,c6=1:N c3=1,c4=1,c5=2:N c3=1,c4=2,c6=1:N c3=1,c4=2,c5=1:G
+c3=1,c4=3:Ggn c3=1,c4=3,c6=1:N c3=1,c4=4:G c3=2,c6=2:N c3=2,c5=1,c6=1:N
+c3=2,c5=2:G c3=2,c4=1,c6=1:G c3=2,c4=1,c5=1:Ggn c3=2,c4=2:GgNn
+c3=2,c4=2,c6=1:G c3=2,c4=3:N c3=3,c6=1:Ggn c3=3,c5=1:GgNn c3=3,c5=1,c6=1:G
+c3=3,c5=2:G c3=3,c4=1:GgNn c3=3,c4=1,c6=1:G c3=3,c4=1,c5=1:N c3=3,c4=2:N
+c3=4,c6=1:N c3=4,c5=1:gNn c3=4,c4=1:GgNn c3=4,c4=1,c6=1:N c3=4,c4=2:G
+c3=5:GgNn c3=5,c6=1:N c3=5,c5=1:G c3=5,c4=1:G c3=6:GgNn c3=6,c6=1:G
+c3=6,c5=1:G c3=6,c4=1:N c3=7:GgNn c3=8:G
+"""
+# sha256 over (spec, mode, max_label, status, vanes) of the 194 searches of
+# ``oracle_grid``, recorded before the triangle fit
+ORACLE_GRID = "ea0a2b5ec43d431002e7d77482a03917b99bf17e5b3c364621bf3ba88ca777ae"
+
+
+def oracle_grid():
+    above = dict(item.split(":") for item in ORACLE_GRID_ABOVE_12.split())
+    for t, s, p, h in itertools.product(range(9), range(7), range(5), range(5)):
+        m = 3 * t + 4 * s + 5 * p + 6 * h
+        if not 0 < m <= 24:
+            continue
+        spec = ",".join(f"c{l}={c}" for l, c in ((3, t), (4, s), (5, p), (6, h)) if c)
+        for mode, key in ((GRACEFUL, "g"), (NEAR_GRACEFUL, "n")):
+            for max_label, letter in ((None, key.upper()), (m - 2, key)):
+                if m <= 12 or letter in above.get(spec, ""):
+                    yield spec, mode, max_label
+
+
+def test_oracle_grid_outputs_are_pinned():
+    """Every verdict and first labelling of the grid; node counts are not hashed."""
+    digest = hashlib.sha256()
+    count = 0
+    for spec, mode, max_label in oracle_grid():
+        result = search_labelling(WindmillSpec.parse(spec), mode, max_label)
+        vanes = result.labelling.vanes if result.labelling else None
+        digest.update(f"{spec} {mode} {max_label} {result.status} {vanes}\n".encode())
+        count += 1
+    assert count == 194
+    assert digest.hexdigest() == ORACLE_GRID
+
+
 # ---------------------------------------------------------------------------
 # The per-value loops the bitmask searches replaced, kept as references
 # ---------------------------------------------------------------------------
 
 
-def reference_labellings(cycles, vertices, edges, flip, node_budget=None, nodes=None):
+def reference_triangles_fit(rest, spokes, nodes, node_budget=None):
+    """``_triangles_fit`` over sets: its splits in its order, counted in ``nodes``."""
+    if not rest:
+        return True
+    z = max(rest)
+    if z not in spokes:
+        return False
+    for y in range(z - 1, z // 2, -1):
+        x = z - y
+        if {x, y} <= rest and {x, y} & spokes:
+            nodes[0] += 1
+            if node_budget is not None and nodes[0] > node_budget:
+                raise _BudgetExhausted(nodes[0])
+            if reference_triangles_fit(rest - {x, y, z}, spokes, nodes, node_budget):
+                return True
+    return False
+
+
+def reference_labellings(cycles, vertices, edges, flip, node_budget=None, nodes=None, fit=False):
     """Every vane assignment the per-value loop of ``_search_vanes`` reaches, in order.
 
     The loop from before the bitmask kernel.  Without ``flip`` it is the
     unreduced search, which cuts only by orientation and by the order of
-    equal vanes; ``flip`` adds the triangle flip in per-value form.  The
-    one-item list ``nodes`` counts the nodes visited.
+    equal vanes; ``flip`` adds the triangle flip in per-value form, and
+    ``fit`` the triangle fit.  The one-item list ``nodes`` counts the nodes
+    visited.
     """
     nodes = [0] if nodes is None else nodes
     vanes = [[0] * length for length in cycles]
     allowed = set(vertices)
     used = set()
     descending = sorted(vertices, reverse=True)
+    first_triangle = cycles.index(3) if 3 in cycles else None
 
     def rec(idx, pos, mask):
         if idx == len(cycles):
             yield [tuple(vane) for vane in vanes]
             return
+        if fit and pos == 1 and idx == first_triangle:
+            free_edges = {e for e in edges if mask >> e & 1}
+            spokes = free_edges & (allowed - used)
+            if not reference_triangles_fit(free_edges, spokes, nodes, node_budget):
+                return
         length = cycles[idx]
         vane = vanes[idx]
         prev = vane[pos - 1]
@@ -250,10 +392,10 @@ def reference_labellings(cycles, vertices, edges, flip, node_budget=None, nodes=
     yield from rec(0, 1, sum(1 << e for e in edges))
 
 
-def reference_search_vanes(cycles, vertices, edges, node_budget, flip=True):
+def reference_search_vanes(cycles, vertices, edges, node_budget, flip=True, fit=True):
     """The first labelling of ``reference_labellings`` and the nodes it took."""
     nodes = [0]
-    first = next(reference_labellings(cycles, vertices, edges, flip, node_budget, nodes), None)
+    first = next(reference_labellings(cycles, vertices, edges, flip, node_budget, nodes, fit), None)
     return first, nodes[0]
 
 
@@ -345,7 +487,7 @@ def test_search_vanes_verdicts_match_unreduced_search():
                     cut = [v for v in vertices if max_label is None or v <= max_label]
                     try:
                         want, unreduced_nodes = reference_search_vanes(
-                            cycles, cut, edges, 10_000, flip=False
+                            cycles, cut, edges, 10_000, flip=False, fit=False
                         )
                     except _BudgetExhausted:
                         continue

@@ -7,9 +7,11 @@ windmills label --graph c3=4,c4=3 --json > lab.json
 windmills verify --file lab.json
 windmills oracle --graph c3=2 --mode graceful
 out=$(timeout 60 windmills oracle --graph c3=2,c4=2 --mode graceful)
-test "$out" = "none (exhaustive, 314095 nodes)"
+test "$out" = "none (exhaustive, 77637 nodes)"
 out=$(timeout 10 windmills oracle --graph c3=6 --mode graceful)
-test "$out" = "none (exhaustive, 39058 nodes)"
+test "$out" = "none (exhaustive, 1018 nodes)"
+out=$(timeout 10 windmills oracle --graph c3=7 --mode graceful)
+test "$out" = "none (exhaustive, 6546 nodes)"
 code=0; windmills oracle --seq-kind skolem --order 0 || code=$?
 test "$code" = 3
 windmills label --graph c3=7,c4=70 --trace
