@@ -286,25 +286,24 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Each row is printed once its cell is verified, so a cell that raises or
+    # hangs leaves every row before it on stdout.
     t_range = _parse_range(args.t)
     s_range = _parse_range(args.s)
-    rows = []
+    if args.csv:
+        print("t,s,m,mode,rule,verified")
     all_ok = True
     for t in t_range:
         for s in s_range:
             labelling, trace = families.label_c3c4(t, s)
             report = verify(labelling)
             all_ok = all_ok and report.ok
-            rows.append(
-                (t, s, labelling.spec.edge_count, labelling.mode, trace.rule, report.ok)
-            )
-    if args.csv:
-        print("t,s,m,mode,rule,verified")
-        for row in rows:
-            print(",".join(str(x) for x in row))
-    else:
-        for t, s, m, mode, rule, ok in rows:
-            print(f"t={t} s={s} m={m} {mode} via {rule}: {'ok' if ok else 'FAILED'}")
+            m, mode, rule, ok = labelling.spec.edge_count, labelling.mode, trace.rule, report.ok
+            if args.csv:
+                line = f"{t},{s},{m},{mode},{rule},{ok}"
+            else:
+                line = f"t={t} s={s} m={m} {mode} via {rule}: {'ok' if ok else 'FAILED'}"
+            print(line, flush=True)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

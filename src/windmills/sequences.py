@@ -335,34 +335,35 @@ def _ensure_valid(
 
 
 # ---------------------------------------------------------------------------
-# Pair-table plumbing
+# Row tables
 # ---------------------------------------------------------------------------
 
 
-def _seq_from_pairs(pair_map: dict[int, list[Pair]], length: int) -> SkolemTypeSequence:
-    entries = [0] * length
-    for sym, prs in pair_map.items():
-        for a, b in prs:
-            if b - a != sym:
-                raise InvalidSequence(f"pair ({a},{b}) not at distance {sym}")
-            for pos in (a, b):
-                if not 1 <= pos <= length:
-                    raise InvalidSequence(f"position {pos} outside [1,{length}]")
-                if entries[pos - 1] != 0:
-                    raise InvalidSequence(f"position {pos} assigned twice")
-                entries[pos - 1] = sym
-    return SkolemTypeSequence(entries)
+def _from_rows(length: int, rows) -> SkolemTypeSequence:
+    """The sequence of ``length`` cells that holds the pairs of every row.
 
-
-class _PairBuilder:
-    def __init__(self) -> None:
-        self.pairs: dict[int, list[Pair]] = {}
-
-    def add(self, sym: int, a: int, b: int) -> None:
-        self.pairs.setdefault(sym, []).append((a, b))
-
-    def build(self, length: int) -> SkolemTypeSequence:
-        return _seq_from_pairs(self.pairs, length)
+    A row ``(count, sym, dsym, left, dleft)`` holds ``count`` pairs: the i-th
+    has symbol ``sym + i*dsym`` and left end ``left + i*dleft``, so its right
+    ends start at ``left + sym`` and step by ``dleft + dsym``.  A row whose
+    count is below 1 holds none, and a row of one pair may give zero steps.
+    Each row is two slice writes of one shared run of symbols.  A row with a
+    cell outside [1, length], or with more than one pair on a zero step,
+    raises InvalidSequence, since its slice would wrap or grow the list;
+    rows that overlap are left to ``_ensure_valid``, which every generator
+    calls.
+    """
+    entries = [0] * (length + 1)  # cell i at index i; index 0 stays unused
+    for row in rows:
+        count, sym, dsym, left, dleft = row
+        if count < 1:
+            continue
+        run = tuple(range(sym, sym + count * dsym, dsym)) if dsym else (sym,) * count
+        for first, step in ((left, dleft), (left + sym, dleft + dsym)):
+            last = first + (count - 1) * step
+            if not (1 <= first <= length and 1 <= last <= length and (step or count == 1)):
+                raise InvalidSequence(f"row {row} leaves cells [1,{length}] or repeats one")
+            entries[first : last + (1 if step >= 0 else -1) : step or 1] = run
+    return SkolemTypeSequence(entries[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +414,25 @@ def gen_skolem(n: int) -> SkolemTypeSequence:
 
 def _skolem_0mod4(m: int) -> SkolemTypeSequence:
     # closed-form rows for order 4m; the rows collide at m = 1, hence m >= 2
-    t = _PairBuilder()
-    for r in range(2 * m):
-        t.add(2 * r + 2, 2 * m - r, 2 * m + 2 + r)
-    t.add(1, 7 * m, 7 * m + 1)
-    t.add(4 * m - 1, 2 * m + 1, 6 * m)
-    for r in range(m - 1):
-        t.add(2 * m + 2 * r + 1, 5 * m + 1 - r, 7 * m + r + 2)
-    t.add(2 * m - 1, 4 * m + 2, 6 * m + 1)
-    for r in range(m - 2):
-        t.add(2 * m - 3 - 2 * r, 5 * m + 2 + r, 7 * m - 1 - r)
-    return t.build(8 * m)
+    return _from_rows(8 * m, (
+        (2 * m, 2, 2, 2 * m, -1),
+        (1, 1, 0, 7 * m, 0),
+        (1, 4 * m - 1, 0, 2 * m + 1, 0),
+        (m - 1, 2 * m + 1, 2, 5 * m + 1, -1),
+        (1, 2 * m - 1, 0, 4 * m + 2, 0),
+        (m - 2, 2 * m - 3, -2, 5 * m + 2, 1),
+    ))
 
 
 def _skolem_1mod4(m: int) -> SkolemTypeSequence:
-    t = _PairBuilder()
-    for r in range(1, 2 * m + 1):
-        t.add(2 * r, 2 * m + 1 - r, 2 * m + 1 + r)
-    t.add(4 * m + 1, 2 * m + 1, 6 * m + 2)
-    for r in range(1, m + 1):
-        t.add(2 * m - 1 + 2 * r, 5 * m + 2 - r, 7 * m + 1 + r)
-    t.add(2 * m - 1, 6 * m + 3, 8 * m + 2)
-    t.add(1, 5 * m + 2, 5 * m + 3)
-    for r in range(1, m - 1):
-        t.add(2 * r + 1, 6 * m + 2 - r, 6 * m + 3 + r)
-    return t.build(8 * m + 2)
+    return _from_rows(8 * m + 2, (
+        (2 * m, 2, 2, 2 * m, -1),
+        (1, 4 * m + 1, 0, 2 * m + 1, 0),
+        (m, 2 * m + 1, 2, 5 * m + 1, -1),
+        (1, 2 * m - 1, 0, 6 * m + 3, 0),
+        (1, 1, 0, 5 * m + 2, 0),
+        (m - 2, 3, 2, 6 * m + 1, -1),
+    ))
 
 
 @_memoised
@@ -457,31 +452,25 @@ def gen_hooked_skolem(n: int) -> SkolemTypeSequence:
 
 
 def _hooked_2mod4(m: int) -> SkolemTypeSequence:
-    t = _PairBuilder()
-    for r in range(1, 2 * m + 2):
-        t.add(2 * r, 2 * m + 2 - r, 2 * m + 2 + r)
-    t.add(1, 7 * m + 4, 7 * m + 5)
-    for r in range(1, m + 1):
-        t.add(1 + 2 * r, 6 * m + 2 - r, 6 * m + 3 + r)
-    t.add(2 * m + 3, 6 * m + 2, 8 * m + 5)
-    for r in range(1, m - 1):
-        t.add(2 * m + 3 + 2 * r, 5 * m + 2 - r, 7 * m + 5 + r)
-    t.add(4 * m + 1, 2 * m + 2, 6 * m + 3)
-    return t.build(8 * m + 5)
+    return _from_rows(8 * m + 5, (
+        (2 * m + 1, 2, 2, 2 * m + 1, -1),
+        (1, 1, 0, 7 * m + 4, 0),
+        (m, 3, 2, 6 * m + 1, -1),
+        (1, 2 * m + 3, 0, 6 * m + 2, 0),
+        (m - 2, 2 * m + 5, 2, 5 * m + 1, -1),
+        (1, 4 * m + 1, 0, 2 * m + 2, 0),
+    ))
 
 
 def _hooked_3mod4(m: int) -> SkolemTypeSequence:
-    t = _PairBuilder()
-    for r in range(1, 2 * m + 2):
-        t.add(2 * r, 2 * m + 2 - r, 2 * m + 2 + r)
-    t.add(1, 5 * m + 4, 5 * m + 5)
-    for r in range(1, m):
-        t.add(1 + 2 * r, 6 * m + 5 - r, 6 * m + 6 + r)
-    t.add(2 * m + 1, 6 * m + 6, 8 * m + 7)
-    for r in range(1, m + 1):
-        t.add(2 * m + 1 + 2 * r, 5 * m + 4 - r, 7 * m + 5 + r)
-    t.add(4 * m + 3, 2 * m + 2, 6 * m + 5)
-    return t.build(8 * m + 7)
+    return _from_rows(8 * m + 7, (
+        (2 * m + 1, 2, 2, 2 * m + 1, -1),
+        (1, 1, 0, 5 * m + 4, 0),
+        (m - 1, 3, 2, 6 * m + 4, -1),
+        (1, 2 * m + 1, 0, 6 * m + 6, 0),
+        (m, 2 * m + 3, 2, 5 * m + 3, -1),
+        (1, 4 * m + 3, 0, 2 * m + 2, 0),
+    ))
 
 
 @_memoised
@@ -489,12 +478,10 @@ def gen_langford_doubledefect(d: int) -> SkolemTypeSequence:
     """Langford sequence with defect d and order 2d-1 (symbols [d, 3d-2])."""
     if d < 1:
         raise OutOfRange(f"defect must be >= 1, got {d}")
-    t = _PairBuilder()
-    for r in range(d):
-        t.add(d + 2 * r, d - r, 2 * d + r)
-    for r in range(d - 1):  # second row vanishes when d = 1
-        t.add(d + 2 * r + 1, 2 * d - 1 - r, 3 * d + r)
-    seq = t.build(2 * (2 * d - 1))
+    seq = _from_rows(2 * (2 * d - 1), (
+        (d, d, 2, d, -1),
+        (d - 1, d + 1, 2, 2 * d - 1, -1),  # vanishes when d = 1
+    ))
     return _ensure_valid(seq, SequenceKind("langford", defect=d))
 
 
@@ -519,36 +506,30 @@ def gen_near_skolem_topdefect(n: int) -> SkolemTypeSequence:
 
 def _near_hooked_1mod4(m: int) -> SkolemTypeSequence:
     # order 4m+1, defect 4m, hook at 8m; valid for m >= 3
-    t = _PairBuilder()
-    for r in range(1, 2 * m + 1):
-        t.add(2 * r + 1, 2 * m + 1 - r, 2 * m + 2 + r)
-    t.add(4 * m - 4, 2 * m + 2, 6 * m - 2)
-    t.add(4 * m - 2, 2 * m + 1, 6 * m - 1)
-    for r in range(m - 2):
-        t.add(2 * m + 2 * r, 5 * m - r, 7 * m + r)
-    for r in range(m - 3):
-        t.add(2 * r + 4, 6 * m - r - 3, 6 * m + r + 1)
-    t.add(2 * m - 2, 6 * m, 8 * m - 2)
-    t.add(1, 7 * m - 2, 7 * m - 1)
-    t.add(2, 8 * m - 1, 8 * m + 1)
-    return t.build(8 * m + 1)
+    return _from_rows(8 * m + 1, (
+        (2 * m, 3, 2, 2 * m, -1),
+        (1, 4 * m - 4, 0, 2 * m + 2, 0),
+        (1, 4 * m - 2, 0, 2 * m + 1, 0),
+        (m - 2, 2 * m, 2, 5 * m, -1),
+        (m - 3, 4, 2, 6 * m - 3, -1),
+        (1, 2 * m - 2, 0, 6 * m, 0),
+        (1, 1, 0, 7 * m - 2, 0),
+        (1, 2, 0, 8 * m - 1, 0),
+    ))
 
 
 def _near_plain_3mod4(m: int) -> SkolemTypeSequence:
     # order 4m+3, defect 4m+2, no hook; valid for m >= 2
-    t = _PairBuilder()
-    for r in range(1, 2 * m + 2):
-        t.add(2 * r + 1, 2 * m + 2 - r, 2 * m + 3 + r)
-    t.add(4 * m, 2 * m + 2, 6 * m + 2)
-    t.add(4 * m - 2, 2 * m + 3, 6 * m + 1)
-    for r in range(m - 2):
-        t.add(2 * m + 2 + 2 * r, 5 * m + 2 - r, 7 * m + 4 + r)
-    for r in range(m - 2):
-        t.add(2 * r + 4, 6 * m - r, 6 * m + 4 + r)
-    t.add(1, 7 * m + 2, 7 * m + 3)
-    t.add(2 * m, 6 * m + 3, 8 * m + 3)
-    t.add(2, 8 * m + 2, 8 * m + 4)
-    return t.build(8 * m + 4)
+    return _from_rows(8 * m + 4, (
+        (2 * m + 1, 3, 2, 2 * m + 1, -1),
+        (1, 4 * m, 0, 2 * m + 2, 0),
+        (1, 4 * m - 2, 0, 2 * m + 3, 0),
+        (m - 2, 2 * m + 2, 2, 5 * m + 2, -1),
+        (m - 2, 4, 2, 6 * m, -1),
+        (1, 1, 0, 7 * m + 2, 0),
+        (1, 2 * m, 0, 6 * m + 3, 0),
+        (1, 2, 0, 8 * m + 2, 0),
+    ))
 
 
 @_memoised
@@ -566,29 +547,25 @@ def gen_twofold_skolem(n: int) -> SkolemTypeSequence:
 
 
 def _twofold_odd(n: int) -> SkolemTypeSequence:
-    t = _PairBuilder()
-    for r in range((n - 1) // 2 + 1):
-        t.add(2 * r + 1, (n + 1) // 2 - r, (n + 3) // 2 + r)
-        t.add(2 * r + 1, (3 * n + 3) // 2 - r, (3 * n + 5) // 2 + r)
-    t.add(n - 1, 2 * n + 3, 3 * n + 2)
-    t.add(n - 1, (5 * n + 5) // 2, (7 * n + 3) // 2)
-    for r in range((n - 5) // 2 + 1):
-        t.add(2 * r + 2, (5 * n + 3) // 2 - r, (5 * n + 3) // 2 + r + 2)
-        t.add(2 * r + 2, (7 * n + 1) // 2 - r, (7 * n + 1) // 2 + r + 2)
-    return t.build(4 * n)
+    return _from_rows(4 * n, (
+        ((n + 1) // 2, 1, 2, (n + 1) // 2, -1),
+        ((n + 1) // 2, 1, 2, (3 * n + 3) // 2, -1),
+        (1, n - 1, 0, 2 * n + 3, 0),
+        (1, n - 1, 0, (5 * n + 5) // 2, 0),
+        ((n - 3) // 2, 2, 2, (5 * n + 3) // 2, -1),
+        ((n - 3) // 2, 2, 2, (7 * n + 1) // 2, -1),
+    ))
 
 
 def _twofold_even(n: int) -> SkolemTypeSequence:
-    t = _PairBuilder()
-    for r in range((n - 2) // 2 + 1):
-        t.add(2 * r + 1, n // 2 - r, (n + 2) // 2 + r)
-        t.add(2 * r + 1, 3 * n // 2 - r, (3 * n + 2) // 2 + r)
-    t.add(n, 2 * n + 1, 3 * n + 1)
-    t.add(n, (5 * n + 2) // 2, (7 * n + 2) // 2)
-    for r in range((n - 4) // 2 + 1):
-        t.add(2 * r + 2, 5 * n // 2 - r, 5 * n // 2 + r + 2)
-        t.add(2 * r + 2, 7 * n // 2 - r, 7 * n // 2 + r + 2)
-    return t.build(4 * n)
+    return _from_rows(4 * n, (
+        (n // 2, 1, 2, n // 2, -1),
+        (n // 2, 1, 2, 3 * n // 2, -1),
+        (1, n, 0, 2 * n + 1, 0),
+        (1, n, 0, (5 * n + 2) // 2, 0),
+        ((n - 2) // 2, 2, 2, 5 * n // 2, -1),
+        ((n - 2) // 2, 2, 2, 7 * n // 2, -1),
+    ))
 
 
 @_memoised
@@ -603,13 +580,13 @@ def gen_power4(x: int, trimmed: bool = False) -> SkolemTypeSequence:
         return SkolemTypeSequence((1, 1))
     if x < 1:
         raise OutOfRange(f"index must be >= {0 if trimmed else 1}, got {x}")
-    t = _PairBuilder()
-    t.add(1, 2 * x - 1, 2 * x)
-    t.add(1, 4 * x - 1, 4 * x)
-    for r in range(1, x):
-        t.add(4 * r, 2 * x - 2 * r - 1, 2 * x + 2 * r - 1)
-        t.add(4 * r, 2 * x - 2 * r, 2 * x + 2 * r)
-    seq = _ensure_valid(t.build(4 * x), SequenceKind("two-fold-skolem-type"))
+    seq = _from_rows(4 * x, (
+        (1, 1, 0, 2 * x - 1, 0),
+        (1, 1, 0, 4 * x - 1, 0),
+        (x - 1, 4, 4, 2 * x - 3, -2),
+        (x - 1, 4, 4, 2 * x - 2, -2),
+    ))
+    seq = _ensure_valid(seq, SequenceKind("two-fold-skolem-type"))
     if trimmed:
         seq = SkolemTypeSequence(seq.entries[:-2])
         _ensure_valid(seq, SequenceKind("two-fold-skolem-type"), fragment=True)
@@ -639,14 +616,12 @@ def gen_twofold_langford(k: int) -> SkolemTypeSequence:
     """Two-fold Langford sequence with defect 6k-1 and order 4k-1."""
     if k < 1:
         raise OutOfRange(f"parameter must be >= 1, got {k}")
-    t = _PairBuilder()
-    for r in range(1, 2 * k):
-        t.add(10 * k - 2 - 2 * r, r, 10 * k - 2 - r)
-        t.add(10 * k - 2 - 2 * r, 2 * k - 1 + r, 12 * k - 3 - r)
-    for r in range(1, 2 * k + 1):
-        t.add(10 * k - 1 - 2 * r, 4 * k - 2 + r, 14 * k - 3 - r)
-        t.add(10 * k - 1 - 2 * r, 6 * k - 2 + r, 16 * k - 3 - r)
-    seq = t.build(4 * (4 * k - 1))
+    seq = _from_rows(4 * (4 * k - 1), (
+        (2 * k - 1, 10 * k - 4, -2, 1, 1),
+        (2 * k - 1, 10 * k - 4, -2, 2 * k, 1),
+        (2 * k, 10 * k - 3, -2, 4 * k - 1, 1),
+        (2 * k, 10 * k - 3, -2, 6 * k - 1, 1),
+    ))
     return _ensure_valid(seq, SequenceKind("two-fold-langford", defect=6 * k - 1))
 
 

@@ -9,7 +9,7 @@ tests compare the index, ``validate`` and the vane builders against them.
 from __future__ import annotations
 
 from windmills.errors import UnmatchedSymbol
-from windmills.sequences import Pair, SkolemTypeSequence, _seq_from_pairs
+from windmills.sequences import Pair, SkolemTypeSequence
 
 
 class PairSet:
@@ -36,8 +36,12 @@ class PairSet:
         return prs[0]
 
     def to_entries(self) -> SkolemTypeSequence:
-        """Rebuild the sequence; uncovered positions become hooks (0)."""
-        return _seq_from_pairs(self._pairs, self.length)
+        """Rebuild the sequence, one pair at a time; uncovered positions become hooks (0)."""
+        entries = [0] * self.length
+        for sym, prs in self._pairs.items():
+            for a, b in prs:
+                entries[a - 1] = entries[b - 1] = sym
+        return SkolemTypeSequence(entries)
 
     def __eq__(self, other) -> bool:
         return (

@@ -298,17 +298,37 @@ def test_c5_small_companions_miss_the_forbidden_cells():
         assert forbidden_cells(p).isdisjoint(lasts), p
 
 
-def test_c5_companion_rows_read_as_the_lemma_says(monkeypatch):
-    added = []
-    add = sequences._PairBuilder.add
+@pytest.fixture
+def right_ends(monkeypatch):
+    """Calls a table and returns the right ends of the rows it gives ``_from_rows``.
+
+    The i-th pair of a row ``(count, sym, dsym, left, dleft)`` ends at
+    ``left + sym + i * (dleft + dsym)``; the ends come in row order.
+    """
+    given = []
+    real = sequences._from_rows
     monkeypatch.setattr(
-        sequences._PairBuilder, "add", lambda self, sym, a, b: (added.append(b), add(self, sym, a, b))
+        sequences, "_from_rows", lambda length, rows: (given.append(rows), real(length, rows))[1]
     )
+
+    def call(table, m):
+        given.clear()
+        table(m)
+        (rows,) = given
+        return [
+            left + sym + (dleft + dsym) * i
+            for count, sym, dsym, left, dleft in rows
+            for i in range(count)
+        ]
+
+    return call
+
+
+def test_c5_companion_rows_read_as_the_lemma_says(right_ends):
     for table, _, m_min, _, rows in COMPANION_TABLES.values():
         for m in range(m_min, 150, 2):  # the m of every p the table serves
-            added.clear()
-            table(m)
-            assert added == [first + step * i for first, step, count in rows(m) for i in range(count)]
+            expected = [first + step * i for first, step, count in rows(m) for i in range(count)]
+            assert right_ends(table, m) == expected
 
 
 def lowest_right_ends(rows):
@@ -466,17 +486,11 @@ def test_triangle_sequence_comes_from_one_row_table():
         assert assemble._triangle_sequence(n) == table(m), n
 
 
-def test_triangle_rows_read_as_the_clearance_lemma_says(monkeypatch):
-    added = []
-    add = sequences._PairBuilder.add
-    monkeypatch.setattr(
-        sequences._PairBuilder, "add", lambda self, sym, a, b: (added.append(b), add(self, sym, a, b))
-    )
+def test_triangle_rows_read_as_the_clearance_lemma_says(right_ends):
     for table, _, m_min, rows in TRIANGLE_TABLES.values():
         for m in range(m_min, 120):
-            added.clear()
-            table(m)
-            assert added == [first + step * i for first, step, count in rows(m) for i in range(count)]
+            expected = [first + step * i for first, step, count in rows(m) for i in range(count)]
+            assert right_ends(table, m) == expected
 
 
 def test_triangle_rows_start_at_half_n_plus_2():

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from windmills import cli, sequences
+from windmills import cli, families, sequences
 from windmills.cli import main
+from windmills.errors import Unlabellable
 from windmills.windmill import from_json, verify
 
 
@@ -361,6 +362,28 @@ def test_sweep_text(capsys):
         "t=4 s=0 m=12 graceful via triangles-only: ok",
         "t=4 s=1 m=16 graceful via twofold-direct: ok",
     ]
+
+
+@pytest.mark.parametrize(
+    "flags, before",
+    [
+        (["--csv"], ["t,s,m,mode,rule,verified", "4,0,12,graceful,triangles-only,True"]),
+        ([], ["t=4 s=0 m=12 graceful via triangles-only: ok"]),
+    ],
+)
+def test_sweep_streams_the_rows_before_a_failing_cell(capsys, monkeypatch, flags, before):
+    label = families.label_c3c4
+
+    def failing(t, s):
+        if (t, s) == (4, 1):
+            raise Unlabellable("no plan for t=4 s=1")
+        return label(t, s)
+
+    monkeypatch.setattr(families, "label_c3c4", failing)
+    code, out, err = run(capsys, "sweep", "--t", "4..5", "--s", "0..2", *flags)
+    assert code == 2
+    assert out.splitlines() == before
+    assert err == "error: Unlabellable: no plan for t=4 s=1\n"
 
 
 def test_sweep_bad_range(capsys):

@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 from windmills import oracle, sequences
 from windmills.errors import (
     HookedOperand,
+    InvalidSequence,
     NoSuchSequence,
     OutOfRange,
     SearchBudgetExhausted,
     UnknownKind,
     UnmatchedSymbol,
     UnsupportedOrder,
+    WindmillError,
 )
 from windmills.sequences import (
     SequenceKind,
@@ -566,6 +568,82 @@ def test_gen_twofold_langford():
     assert s.length == 28
     with pytest.raises(OutOfRange):
         gen_twofold_langford(0)
+
+
+# sha256 over repr((generator, args, entries or the error's class name)) of
+# every call of GENERATOR_CALLS, in order, recorded before the tables were
+# written as rows
+GENERATOR_GRID = "068aac71a94725c897e940098333c5dded4d2912488db4889b82c755d81a0e3b"
+GENERATOR_CALLS = [
+    *((gen, (n,)) for gen in (gen_skolem, gen_hooked_skolem, gen_twofold_skolem) for n in range(600)),
+    *((gen_near_skolem_topdefect, (n,)) for n in range(600)),
+    *((gen_langford_doubledefect, (d,)) for d in range(300)),
+    *((gen_power4, (x, trimmed)) for x in range(150) for trimmed in (False, True)),
+    *((gen_twofold_langford, (k,)) for k in range(100)),
+]
+
+
+def test_generator_outputs_are_pinned(cold_memos):
+    digest = hashlib.sha256()
+    for gen, args in GENERATOR_CALLS:
+        try:
+            out = gen(*args).entries
+        except WindmillError as exc:
+            out = type(exc).__name__
+        digest.update(repr((gen.__name__, args, out)).encode())
+    assert digest.hexdigest() == GENERATOR_GRID
+
+
+def test_rows_fill_their_cells():
+    # lefts step down to cell 1; a row of one pair may give zero steps
+    assert sequences._from_rows(6, ((2, 2, 2, 2, -1), (1, 3, 0, 3, 0))).entries == (4, 2, 3, 2, 4, 3)
+    assert sequences._from_rows(8, ((1, 4, 0, 1, 0), (2, 2, 1, 2, 1), (1, 1, 0, 7, 0))).entries == (
+        4, 2, 3, 2, 4, 3, 1, 1,
+    )
+    # a row whose count is below 1 holds nothing, wherever it points
+    assert sequences._from_rows(3, ((0, 1, 0, 9, 0), (-2, 1, 0, -9, 0))).entries == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (1, 1, 0, 0, 0),  # starts below cell 1
+        (1, 1, 0, -2, 0),  # starts where a slice would wrap round to the end
+        (1, 6, 0, 1, 0),  # its right end is past the length
+        (3, 2, 0, 3, 1),  # runs past the length
+        (3, 1, 0, 2, -1),  # runs below cell 1 on a negative step
+        (2, 1, 0, 1, 0),  # two pairs on one cell, a slice that would grow the list
+    ],
+)
+def test_rows_outside_the_cells_are_rejected(row):
+    with pytest.raises(InvalidSequence, match="leaves cells"):
+        sequences._from_rows(6, (row,))
+
+
+@pytest.mark.parametrize(
+    "gen, arg",
+    [
+        (gen_skolem, 8),
+        (gen_skolem, 9),
+        (gen_hooked_skolem, 10),
+        (gen_hooked_skolem, 11),
+        (gen_langford_doubledefect, 3),
+        (gen_near_skolem_topdefect, 13),
+        (gen_near_skolem_topdefect, 11),
+        (gen_twofold_skolem, 5),
+        (gen_twofold_skolem, 6),
+        (gen_power4, 3),
+        (gen_twofold_langford, 2),
+    ],
+)
+def test_overlapping_rows_fail_validation(monkeypatch, cold_memos, gen, arg):
+    # one more pair of 1s on cells 1 and 2, which each of these tables fills with other symbols
+    real = sequences._from_rows
+    monkeypatch.setattr(
+        sequences, "_from_rows", lambda length, rows: real(length, (*rows, (1, 1, 0, 1, 0)))
+    )
+    with pytest.raises(InvalidSequence, match="generated sequence invalid"):
+        gen(arg)
 
 
 # -- combinators --------------------------------------------------------------

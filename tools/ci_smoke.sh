@@ -49,6 +49,17 @@ echo '{"spec": [{"cycle": 3, "count": 1}], "mode": "graceful", "vanes": [[0, 1.9
 code=0; windmills verify --file "$RUNNER_TEMP/float.json" || code=$?
 test "$code" = 3
 windmills label --graph c3=32,c5=12 --json | windmills verify --file /dev/stdin
+# every closed-form sequence table at a large order, checked by the validator
+gen() { timeout 60 windmills seq gen "$@"; }
+check() { timeout 60 windmills seq validate --stdin "$@"; }
+gen --kind skolem --order 40001 | check --kind skolem
+gen --kind hooked-skolem --order 40002 | check --kind hooked-skolem
+gen --kind langford2d --defect 10000 | check --kind langford --defect 10000
+gen --kind near-top --order 40003 | check --kind near-skolem --defect 40002
+gen --kind near-top --order 40001 | check --kind hooked-near-skolem --defect 40000
+gen --kind twofold-skolem --order 20001 | check --kind two-fold-skolem
+gen --kind power4 --order 5000 --trimmed | check --kind two-fold-skolem-type --fragment
+gen --kind twofold-langford --order 2000 | check --kind two-fold-langford --defect 11999
 # one large cell per family: the triangle, square, 5-cycle and hexagon builders at scale
 for graph in c3=1103 c5=492 c3=252,c4=413 c3=655,c5=327 c3=272,c6=244; do
   timeout 60 windmills label --graph "$graph" --json | timeout 60 windmills verify --file /dev/stdin
