@@ -141,7 +141,8 @@ def _search_vanes(
     ``{x, y, x + y}`` whose sum and one of ``x, y`` are free vertex labels
     is a completion of the longer vanes placed so far.  The flip argument
     above, applied to that completion, gives one this search admits, so a
-    split exists exactly when a completion does.
+    split exists exactly when a completion does.  The fit's first test, the
+    largest free edge is a free vertex label, runs inline and counts no node.
     """
     if cycles != sorted(cycles, reverse=True):
         raise ValueError(f"cycles must be sorted longest first, got {cycles}")
@@ -157,6 +158,8 @@ def _search_vanes(
         if idx == len(cycles):
             return True
         if pos == 1 and idx == first_triangle:
+            if mask and not free >> (mask.bit_length() - 1) & 1:
+                return False
             fits, nodes = _triangles_fit(mask, mask & free, nodes, node_budget)
             if not fits:
                 return False
@@ -253,7 +256,8 @@ def search_sequence(
     """Depth-first placement of symbols, largest first, over a bitmask of free cells.
 
     Returns every sequence of the kind (``enumerate_all``) or the first one
-    found; the empty list is an exhaustive negative.
+    found; the empty list is an exhaustive negative.  A node records only its
+    slot's left end on the path; a leaf writes the cells from the path.
 
     Reversal cut: the reverse of a hook-free one-fold sequence is another
     sequence of its kind, and it moves the largest symbol's left end ``a`` to
@@ -278,7 +282,6 @@ def search_sequence(
     # a symbol's later copy starts to the right of its earlier one
     repeats = [slots[i + 1 : i + 2] == [sym] for i, sym in enumerate(slots)]
     length = 2 * len(slots) + kind.hooked
-    entries = [0] * length
     free = (1 << (length + 1)) - 2  # bit a for each free cell a in 1..length
     if kind.hooked:
         free ^= 1 << (length - 1)  # the hook, next to last
@@ -286,10 +289,15 @@ def search_sequence(
     if not enumerate_all and kind.fold == 1 and not kind.hooked:
         # 2a + sym <= length + 1; a symbol too long to fit at all keeps no end
         first_ends = (2 << max(length + 1 - slots[0], 0) // 2) - 1
+    lows = [0] * len(slots)  # bit a for each placed slot's left end a
     results: list[SkolemTypeSequence] = []
 
-    def place(idx: int, start: int, free: int) -> bool:
+    def place(idx: int, allowed: int, free: int) -> bool:
         if idx == len(slots):
+            entries = [0] * length
+            for sym, low in zip(slots, lows):
+                a = low.bit_length() - 1
+                entries[a - 1] = entries[a + sym - 1] = sym
             seq = SkolemTypeSequence(entries)
             report = validate(seq, kind)
             if not report.ok:  # pragma: no cover - layout and validator agree
@@ -297,19 +305,16 @@ def search_sequence(
             results.append(seq)
             return not enumerate_all
         sym = slots[idx]
-        # left ends a >= start with cells a and a + sym both free, leftmost first
-        ends = free & (free >> sym) & -(1 << start)
-        if idx == 0:
-            ends &= first_ends
+        # left ends in allowed (the reversal cut's at the root, those right of the
+        # previous copy's after a repeat) with both cells free, leftmost first
+        ends = free & (free >> sym) & allowed
         while ends:
             low = ends & -ends
             ends ^= low
-            a = low.bit_length() - 1
-            # every full placement rewrites all non-hook cells: no entry reset
-            entries[a - 1] = entries[a + sym - 1] = sym
-            if place(idx + 1, a + 1 if repeats[idx] else 1, free ^ low ^ (low << sym)):
+            lows[idx] = low  # read only below this node, so never reset
+            if place(idx + 1, -(low << 1) if repeats[idx] else -1, free ^ low ^ (low << sym)):
                 return True
         return False
 
-    place(0, 1, free)
+    place(0, first_ends, free)
     return results

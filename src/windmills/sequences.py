@@ -829,12 +829,13 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
                         )
                     raise _Cutoff
                 b = a + sym
+                # a tiling rewrites every cell along the path that returns it,
+                # so a failed branch leaves its cells as they are
                 entries[a] = entries[b] = sym
                 cells = (1 << a) | (1 << b)
                 mirror = (1 << (top - a)) | (1 << (top - b))
-                if fill(free & ~cells, rev & ~mirror, rem & ~bit):
+                if fill(free ^ cells, rev ^ mirror, rem ^ bit):
                     return True
-                entries[a] = entries[b] = 0
         return False
 
     rem = 0
@@ -848,7 +849,6 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
             return tuple(entries) if fill(full, full, rem) else None
         except _Cutoff:
             nodes = limit
-            entries = [0] * length
             if rng is None:
                 rng = random.Random(min(symbols) * 100003 + length // 2)
                 cutoff = _RESTART_CUTOFF

@@ -17,7 +17,7 @@ from windmills.oracle import (
     search_labelling,
     search_sequence,
 )
-from windmills.sequences import SequenceKind, SkolemTypeSequence, exists, validate
+from windmills.sequences import KNOWN_TAGS, SequenceKind, SkolemTypeSequence, exists, validate
 from windmills.windmill import GRACEFUL, NEAR_GRACEFUL, Labelling, WindmillSpec, labels, verify
 
 
@@ -311,6 +311,21 @@ def test_oracle_grid_outputs_are_pinned():
     assert digest.hexdigest() == ORACLE_GRID
 
 
+# sha256 over (spec, mode, max_label, status, nodes) of the same 194 searches,
+# recorded before the inline fit test of ``_search_vanes``
+ORACLE_GRID_NODES = "f5c28da6c3b4275c3a83688d333f612b218d0912680325a11a0b26ada88b0ed0"
+
+
+def test_oracle_grid_node_counts_are_pinned():
+    """Every verdict and node count of the grid, so a change that only makes
+    a node cheaper shows that it moved no count."""
+    digest = hashlib.sha256()
+    for spec, mode, max_label in oracle_grid():
+        result = search_labelling(WindmillSpec.parse(spec), mode, max_label)
+        digest.update(f"{spec} {mode} {max_label} {result.status} {result.nodes}\n".encode())
+    assert digest.hexdigest() == ORACLE_GRID_NODES
+
+
 # ---------------------------------------------------------------------------
 # The per-value loops the bitmask searches replaced, kept as references
 # ---------------------------------------------------------------------------
@@ -596,6 +611,39 @@ def test_search_sequence_matches_reference(n, enumerate_all, twofold_max):
     for kind in sequence_kinds(n, twofold_max):
         want = reference_search_sequence(kind, n, enumerate_all)
         assert search_sequence(kind, n, enumerate_all) == want, kind
+
+
+def every_tag(n):
+    """A kind of every known tag at order ``n``, with defects 1-3 where the
+    tag takes one and the symbols ``1..n + 1`` less 2 for the *-type tags."""
+    for tag in KNOWN_TAGS:
+        if tag.endswith("-type"):
+            yield SequenceKind(tag, symbols=frozenset(range(1, n + 2)) - {2})
+        elif "near" in tag or "langford" in tag:
+            yield from (SequenceKind(tag, defect=d) for d in (1, 2, 3))
+        else:
+            yield SequenceKind(tag)
+
+
+# sha256 over every result of ``every_tag`` searches, in order: finds up to
+# order 10 and enumerations up to order 9, the two-fold kinds up to orders 8
+# and 4; recorded before the path-tracking kernel of ``search_sequence``
+SEQUENCE_GRID = "9bbc15314b97293691f54547f4345319e560e5408b1d802e51eb7945974548ca"
+
+
+def test_sequence_search_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for enumerate_all, top, twofold_top in ((False, 10, 8), (True, 9, 4)):
+        for n in range(1, top + 1):
+            for kind in every_tag(n):
+                if kind.fold == 2 and n > twofold_top:
+                    continue
+                try:
+                    found = [seq.to_text() for seq in search_sequence(kind, n, enumerate_all)]
+                except ValueError as exc:  # a near-Skolem defect above the order
+                    found = type(exc).__name__
+                digest.update(f"{kind} {n} {enumerate_all} {found}\n".encode())
+    assert digest.hexdigest() == SEQUENCE_GRID
 
 
 @pytest.mark.parametrize("n", range(1, 7))

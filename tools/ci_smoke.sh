@@ -12,6 +12,10 @@ out=$(timeout 10 windmills oracle --graph c3=6 --mode graceful)
 test "$out" = "none (exhaustive, 1018 nodes)"
 out=$(timeout 10 windmills oracle --graph c3=7 --mode graceful)
 test "$out" = "none (exhaustive, 6546 nodes)"
+out=$(timeout 10 windmills oracle --seq-kind skolem --order 10)
+test "$out" = "none (exhaustive)"
+out=$(timeout 10 windmills oracle --seq-kind hooked-skolem --order 9)
+test "$out" = "none (exhaustive)"
 code=0; windmills oracle --seq-kind skolem --order 0 || code=$?
 test "$code" = 3
 windmills label --graph c3=7,c4=70 --trace
