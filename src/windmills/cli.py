@@ -12,7 +12,13 @@ import sys
 from functools import cache
 
 from . import families, oracle
-from .errors import MalformedLabelling, SearchBudgetExhausted, Unlabellable, WindmillError
+from .errors import (
+    MalformedLabelling,
+    OutOfRange,
+    SearchBudgetExhausted,
+    Unlabellable,
+    WindmillError,
+)
 from .sequences import (
     KNOWN_TAGS,
     SequenceKind,
@@ -42,16 +48,22 @@ EXIT_UNSUPPORTED = 2
 EXIT_MALFORMED = 3
 EXIT_BUDGET = 4
 
-# kind -> (the option that sizes it, its generator)
+# The largest size the CLI builds: the edges of a `label` graph or of the
+# largest cell of a `sweep`, and the cells of a `seq gen` sequence.  At this
+# size a labelling takes about 2 s and 270 MB; far past it the build runs out
+# of memory or overflows a list length.
+_MAX_SIZE = 1_000_000
+
+# kind -> (the option that sizes it, its generator, the most cells it gives)
 _GEN_KINDS = {
-    "skolem": ("order", gen_skolem),
-    "hooked-skolem": ("order", gen_hooked_skolem),
-    "langford2d": ("defect", gen_langford_doubledefect),
-    "near-top": ("order", gen_near_skolem_topdefect),
-    "twofold-skolem": ("order", gen_twofold_skolem),
-    "power4": ("order", gen_power4),
-    "twofold-langford": ("order", gen_twofold_langford),
-    "small-c": ("order", fixed_small_twofold),
+    "skolem": ("order", gen_skolem, lambda n: 2 * n),
+    "hooked-skolem": ("order", gen_hooked_skolem, lambda n: 2 * n + 1),
+    "langford2d": ("defect", gen_langford_doubledefect, lambda d: 4 * d - 2),
+    "near-top": ("order", gen_near_skolem_topdefect, lambda n: 2 * n - 1),
+    "twofold-skolem": ("order", gen_twofold_skolem, lambda n: 4 * n),
+    "power4": ("order", gen_power4, lambda x: 4 * x),
+    "twofold-langford": ("order", gen_twofold_langford, lambda k: 16 * k - 4),
+    "small-c": ("order", fixed_small_twofold, lambda y: 4 * y),
 }
 
 
@@ -139,6 +151,11 @@ def _parse_range(text: str) -> range:
     return values
 
 
+def _check_size(what: str, size: int, unit: str) -> None:
+    if size > _MAX_SIZE:
+        raise OutOfRange(f"{what} {size} {unit}, above the limit of {_MAX_SIZE}")
+
+
 def _reject_unread(args, reader: str, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
@@ -147,13 +164,14 @@ def _reject_unread(args, reader: str, *names: str) -> None:
 
 
 def _cmd_seq_gen(args) -> int:
-    option, generate = _GEN_KINDS[args.kind]
+    option, generate, cells = _GEN_KINDS[args.kind]
     size = getattr(args, option)
     if size is None:
         raise MalformedLabelling(f"{args.kind} needs --{option}")
     _reject_unread(args, args.kind, "defect" if option == "order" else "order")
     if args.kind != "power4":
         _reject_unread(args, args.kind, "trimmed")
+    _check_size(f"{args.kind} --{option} {size} gives up to", cells(size), "cells")
     seq = generate(size, trimmed=args.trimmed) if args.kind == "power4" else generate(size)
     if not seq.entries:
         raise MalformedLabelling(f"{args.kind} --{option} {size} is the empty sequence")
@@ -200,6 +218,7 @@ def _label_for_spec(spec: WindmillSpec):
 
 def _cmd_label(args) -> int:
     spec = WindmillSpec.parse(args.graph)
+    _check_size(f"{spec.to_text()} has", spec.edge_count, "edges")
     labelling, trace = _label_for_spec(spec)
     if args.dot:
         print(to_dot(labelling))
@@ -290,6 +309,8 @@ def _cmd_sweep(args) -> int:
     # hangs leaves every row before it on stdout.
     t_range = _parse_range(args.t)
     s_range = _parse_range(args.s)
+    t, s = t_range[-1], s_range[-1]
+    _check_size(f"cell t={t} s={s} has", 3 * t + 4 * s, "edges")
     if args.csv:
         print("t,s,m,mode,rule,verified")
     all_ok = True

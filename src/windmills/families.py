@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
+from . import _value
 from .assemble import (
     _hexagon_pair_rows,
     _triangle_sequence,
@@ -58,17 +57,19 @@ from .windmill import (
     verify,
 )
 
-@dataclass
-class ConstructionTrace:
+class ConstructionTrace(_value.Value, frozen=False):
     """Which rule produced a labelling, with the parameters it chose."""
 
-    rule: str
-    parameters: dict
-    children: tuple["ConstructionTrace", ...] = ()
+    _fields = ("rule", "parameters", "children")
 
-    def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
+    def __init__(
+        self, rule: str, parameters: dict, children: tuple[ConstructionTrace, ...] = ()
+    ) -> None:
+        self.rule = rule
+        self.parameters = parameters
+        self.children = children
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
 
     def walk(self):
         yield self
@@ -357,6 +358,8 @@ _BASE_CASE_RANGE = {1: range(1, 21), 2: range(1, 21), 3: range(1, 20)}
 
 @lru_cache(maxsize=None)
 def _load_fixture(name: str) -> Labelling:
+    from importlib import resources  # here, as most cells need no fixture
+
     try:
         text = (resources.files("windmills") / "fixtures" / name).read_text()
     except FileNotFoundError:

@@ -12,8 +12,7 @@ labelling: the triangle fit (``_triangles_fit``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import _value
 from .errors import OrderTooLarge, SpecTooLarge
 from .sequences import SequenceKind, SkolemTypeSequence, validate
 from .windmill import Labelling, WindmillSpec, labels, to_json_obj, verify
@@ -27,11 +26,11 @@ NONE = "none"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    status: str
-    labelling: Labelling | None
-    nodes: int
+class SearchResult(_value.Value):
+    _fields = ("status", "labelling", "nodes")
+
+    def __init__(self, status: str, labelling: Labelling | None, nodes: int) -> None:
+        vars(self).update(status=status, labelling=labelling, nodes=nodes)
 
     @property
     def exhaustive(self) -> bool:

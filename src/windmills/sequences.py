@@ -12,13 +12,11 @@ Positions are 1-based everywhere; only the storage boundary converts.
 
 from __future__ import annotations
 
-import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from operator import add, lt, ne, sub
-from typing import NamedTuple
 
+from . import _value
 from .errors import (
     HookedOperand,
     InvalidSequence,
@@ -33,7 +31,9 @@ from .errors import (
 Pair = tuple[int, int]
 
 
-class Occurrences(NamedTuple):
+class Occurrences(
+    namedtuple("Occurrences", "fold symbols firsts lasts hooks first_hook")
+):
     """Where each symbol of a sequence first and last occurs.
 
     ``symbols`` is in increasing order and ``firsts``/``lasts`` follow it.
@@ -41,27 +41,22 @@ class Occurrences(NamedTuple):
     one pair is (first, last); it is 2 when every symbol occurs four times
     and pairs greedily, so its pairs are (first, first+s) and (last-s, last).
     Any other sequence has fold 0; ``_greedy_pairs`` names what fails.
+    ``hooks`` counts the empty cells and ``first_hook`` is the leftmost one,
+    or None.
     """
 
-    fold: int
-    symbols: tuple[int, ...]
-    firsts: tuple[int, ...]
-    lasts: tuple[int, ...]
-    hooks: int
-    first_hook: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SkolemTypeSequence:
+class SkolemTypeSequence(_value.Value):
     """A positional sequence over a symbol set; 0 encodes a hook (empty cell)."""
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[int, ...]) -> None:
         # A copy, so a caller's list cannot change the value and an iterator
         # is read once; the error names an entry, not the container.
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = vars(self)["entries"] = tuple(entries)
         # Exact ints need no per-entry check; the loop runs only for other types.
         if set(map(type, entries)) <= {int} and min(entries, default=0) >= 0:
             return
@@ -96,7 +91,7 @@ class SkolemTypeSequence:
     def occurrences(self) -> Occurrences:
         # Computed once per instance, in C-level passes: a generator's
         # validation and the vane builders then read the same index.  Cached
-        # properties live in the instance dict, outside the dataclass fields,
+        # properties live in the instance dict, outside the value's fields,
         # so equality and hashing ignore them.  Four occurrences
         # p1 < p2 < p3 < p4 of s pair greedily exactly when p1+s and p4-s are
         # the two middle ones: p1 pairs with p1+s, the other two with each other.
@@ -203,27 +198,28 @@ def _takes_defect(tag: str) -> bool:
     return "near" in tag or "langford" in tag
 
 
-@dataclass(frozen=True)
-class SequenceKind:
+class SequenceKind(_value.Value):
     """A named sequence family, with its defect where the family has one.
 
     ``defect`` is the omitted symbol for near-Skolem kinds and the smallest
-    symbol for Langford kinds; the two meanings never co-occur.
+    symbol for Langford kinds; the two meanings never co-occur.  ``symbols``
+    is given only for the *-type kinds.
     """
 
-    tag: str
-    defect: int | None = None
-    symbols: frozenset[int] | None = None  # only for the *-type kinds
+    _fields = ("tag", "defect", "symbols")
 
-    def __post_init__(self) -> None:
-        if self.tag not in KNOWN_TAGS:
-            raise UnknownKind(f"unknown sequence kind {self.tag!r}")
-        if _takes_defect(self.tag):
-            if self.defect is None or self.defect < 1:
-                raise ValueError(f"kind {self.tag!r} needs a positive defect")
-        elif self.defect is not None:
-            raise ValueError(f"kind {self.tag!r} takes no defect")
-        if self.symbols is not None and not self.tag.endswith("-type"):
+    def __init__(
+        self, tag: str, defect: int | None = None, symbols: frozenset[int] | None = None
+    ) -> None:
+        vars(self).update(tag=tag, defect=defect, symbols=symbols)
+        if tag not in KNOWN_TAGS:
+            raise UnknownKind(f"unknown sequence kind {tag!r}")
+        if _takes_defect(tag):
+            if defect is None or defect < 1:
+                raise ValueError(f"kind {tag!r} needs a positive defect")
+        elif defect is not None:
+            raise ValueError(f"kind {tag!r} takes no defect")
+        if symbols is not None and not tag.endswith("-type"):
             raise ValueError("explicit symbol sets only apply to the *-type kinds")
 
     @property
@@ -253,12 +249,13 @@ class SequenceKind:
         return frozenset(range(self.defect, self.defect + order))  # the Langford kinds
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(_value.Value):
     """Validation outcome; ``violations`` pinpoints every failure."""
 
-    ok: bool
-    violations: tuple[str, ...]
+    _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]) -> None:
+        vars(self).update(ok=ok, violations=violations)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -850,5 +847,7 @@ def _search_pairs(symbols, length: int) -> tuple[int, ...] | None:
         except _Cutoff:
             nodes = limit
             if rng is None:
+                import random  # here, as most calls end in the first run
+
                 rng = random.Random(min(symbols) * 100003 + length // 2)
                 cutoff = _RESTART_CUTOFF

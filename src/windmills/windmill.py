@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, sub
 
+from . import _value
 from .errors import MalformedLabelling
 
 GRACEFUL = "graceful"
@@ -28,18 +28,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class WindmillSpec:
+class WindmillSpec(_value.Value):
     """Multiset of (cycle length, vane count) sharing one central vertex."""
 
-    vanes: tuple[tuple[int, int], ...]
+    _fields = ("vanes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, vanes: tuple[tuple[int, int], ...]) -> None:
         # A copy, so a caller's list cannot change the value; the errors
         # below name a group, not the container.
-        object.__setattr__(self, "vanes", tuple(self.vanes))
+        vanes = vars(self)["vanes"] = tuple(vanes)
         seen = set()
-        for item in self.vanes:
+        for item in vanes:
             if not (isinstance(item, tuple) and len(item) == 2):
                 raise MalformedLabelling(f"bad vane group {item!r}")
             length, count = item
@@ -96,23 +95,20 @@ class WindmillSpec:
         return ",".join(f"c{l}={c}" for l, c in self.vanes)
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(_value.Value):
     """Vertex labels per vane; each tuple starts at the central 0.
 
     A vane ``(0, a, b, c)`` is the cycle 0-a-b-c-0; the closing edge back to
     the centre is implicit.
     """
 
-    spec: WindmillSpec
-    vanes: tuple[tuple[int, ...], ...]
-    mode: str
+    _fields = ("spec", "vanes", "mode")
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise MalformedLabelling(f"unknown mode {self.mode!r}")
-        lengths = Counter(map(len, self.vanes))
-        expected = Counter({l: c for l, c in self.spec.vanes})
+    def __init__(self, spec: WindmillSpec, vanes: tuple[tuple[int, ...], ...], mode: str) -> None:
+        if mode not in MODES:
+            raise MalformedLabelling(f"unknown mode {mode!r}")
+        lengths = Counter(map(len, vanes))
+        expected = Counter({l: c for l, c in spec.vanes})
         if lengths != expected:
             raise MalformedLabelling(
                 f"vane lengths {dict(lengths)} do not match spec {dict(expected)}"
@@ -121,10 +117,10 @@ class Labelling:
         # starting each vane at 0 need no per-vane check; the loop runs only to
         # name the first bad vane or label.
         if not (
-            set(map(type, chain.from_iterable(self.vanes))) <= {int}
-            and not any(map(itemgetter(0), self.vanes))
+            set(map(type, chain.from_iterable(vanes))) <= {int}
+            and not any(map(itemgetter(0), vanes))
         ):
-            for vane in self.vanes:
+            for vane in vanes:
                 if not vane or vane[0] != 0:
                     raise MalformedLabelling(f"vane {vane} must start at the central 0")
                 for label in vane:
@@ -132,7 +128,7 @@ class Labelling:
                         raise MalformedLabelling(f"non-integer label in {vane}")
         # The caller's lists are copied into tuples after the checks, whose
         # errors print a vane as given.
-        object.__setattr__(self, "vanes", tuple(map(tuple, self.vanes)))
+        vars(self).update(spec=spec, vanes=tuple(map(tuple, vanes)), mode=mode)
 
     def vertex_labels(self) -> list[int]:
         """All non-central labels, with multiplicity."""
@@ -148,16 +144,28 @@ def edge_multiset(labelling: Labelling) -> Counter:
     return edges
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    m: int
-    mode_checked: str
-    duplicate_vertices: tuple[int, ...] = ()
-    out_of_range_vertices: tuple[int, ...] = ()
-    missing_edges: tuple[int, ...] = ()
-    extra_edges: tuple[int, ...] = ()
-    note: str = ""
+class VerificationReport(_value.Value):
+    _fields = (
+        "ok", "m", "mode_checked", "duplicate_vertices", "out_of_range_vertices",
+        "missing_edges", "extra_edges", "note",
+    )
+
+    def __init__(
+        self,
+        ok: bool,
+        m: int,
+        mode_checked: str,
+        duplicate_vertices: tuple[int, ...] = (),
+        out_of_range_vertices: tuple[int, ...] = (),
+        missing_edges: tuple[int, ...] = (),
+        extra_edges: tuple[int, ...] = (),
+        note: str = "",
+    ) -> None:
+        vars(self).update(
+            ok=ok, m=m, mode_checked=mode_checked, duplicate_vertices=duplicate_vertices,
+            out_of_range_vertices=out_of_range_vertices, missing_edges=missing_edges,
+            extra_edges=extra_edges, note=note,
+        )
 
     def __bool__(self) -> bool:
         return self.ok

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,6 +397,86 @@ def test_sweep_bad_range(capsys):
     code, out, err = run(capsys, "sweep", "--t", "3..1", "--s", "0..2")
     assert code == 3 and out == ""
     assert err == "error: empty range '3..1'\n"
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["label", "--graph", "c5=200001"], "c5=200001 has 1000005 edges"),
+        (["label", "--graph", "c3=5,c4=249997"], "c3=5,c4=249997 has 1000003 edges"),
+        (["label", "--graph", f"c3={HUGE}"], f"c3={HUGE} has {3 * int(HUGE)} edges"),
+        (["sweep", "--t", "1..5", "--s", "0..249997"], "cell t=5 s=249997 has 1000003 edges"),
+        (
+            ["sweep", "--t", HUGE, "--s", "0", "--csv"],
+            f"cell t={HUGE} s=0 has {3 * int(HUGE)} edges",
+        ),
+        (
+            ["seq", "gen", "--kind", "skolem", "--order", "500001"],
+            "skolem --order 500001 gives up to 1000002 cells",
+        ),
+        (
+            ["seq", "gen", "--kind", "hooked-skolem", "--order", "500000"],
+            "hooked-skolem --order 500000 gives up to 1000001 cells",
+        ),
+        (
+            ["seq", "gen", "--kind", "skolem", "--order", f"1{'0' * 20}"],
+            f"skolem --order 1{'0' * 20} gives up to 2{'0' * 20} cells",
+        ),
+    ],
+)
+def test_sizes_above_the_cap_exit_2_before_building(capsys, argv, message):
+    # past the cap a build overflows a list length, runs out of memory or runs
+    # for minutes; the check answers before any row or sequence is printed
+    assert cli._MAX_SIZE == 1_000_000
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: OutOfRange: {message}, above the limit of 1000000\n"
+
+
+def test_sizes_at_the_cap_reach_the_builders(capsys, monkeypatch):
+    # the builders are stubbed: at 10^6 edges a real build takes seconds and
+    # hundreds of MB
+    asked = []
+    label_c5, label_c3c4 = families.label_c5, families.label_c3c4
+    monkeypatch.setattr(families, "label_c5", lambda p: asked.append(p) or label_c5(1))
+    monkeypatch.setattr(
+        families, "label_c3c4", lambda t, s: asked.append((t, s)) or label_c3c4(1, 0)
+    )
+    option, _, cells = cli._GEN_KINDS["skolem"]
+    monkeypatch.setitem(
+        cli._GEN_KINDS,
+        "skolem",
+        (option, lambda n: asked.append(n) or sequences.gen_skolem(1), cells),
+    )
+    assert run(capsys, "label", "--graph", "c5=200000")[0] == 0
+    assert run(capsys, "label", "--graph", "c3=4,c4=249997")[0] == 0
+    assert run(capsys, "sweep", "--t", "4", "--s", "249996..249997")[0] == 0
+    assert run(capsys, "seq", "gen", "--kind", "skolem", "--order", "500000") == (0, "1,1\n", "")
+    assert asked == [200000, (4, 249997), (4, 249996), (4, 249997), 500000]
+
+
+def test_cli_import_leaves_unneeded_modules_unloaded():
+    # ``-S`` skips ``site``, whose ``.pth`` files may import some of these first
+    script = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        unneeded = {"dataclasses", "inspect", "typing", "importlib.resources", "random"}
+        import windmills.cli
+        assert not unneeded & set(sys.modules), sorted(unneeded & set(sys.modules))
+        from windmills import families, sequences, windmill
+        labelling, trace = families.label_c3c4(1, 21)
+        assert trace.rule == "gap-fixture" and windmill.verify(labelling).ok
+        assert sequences.langford_sequence(13, 32).order == 32
+        assert {"importlib.resources", "random"} <= set(sys.modules)
+    """
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_parser_reuse_leaks_no_state(capsys, tmp_path):

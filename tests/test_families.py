@@ -3,7 +3,6 @@ import random
 import signal
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -813,7 +812,7 @@ def test_replay_rejects_unbuildable_base():
     direct = ConstructionTrace(
         "twofold-direct", {"t": 3, "s": 3, "c_squares": 3, "c_triangles": 15}
     )
-    assert not replay(replace(trace, children=(direct,)))
+    assert not replay(ConstructionTrace(trace.rule, trace.parameters, (direct,)))
 
 
 @pytest.mark.parametrize("dk", [-1, 1])
@@ -822,16 +821,14 @@ def test_replay_rejects_extension_k_off_by_one(dk):
     p = trace.parameters
     k, s_base = p["k"] + dk, p["s_base"] - 4 * dk
     _, base_trace = label_c3c4(4, s_base)
-    tampered = replace(
-        trace, parameters={**p, "k": k, "s_base": s_base}, children=(base_trace,)
-    )
+    tampered = ConstructionTrace(trace.rule, {**p, "k": k, "s_base": s_base}, (base_trace,))
     assert not replay(tampered)
 
 
 def test_replay_rejects_relabelled_rule():
     _, trace = label_c3c4(4, 3)
     assert trace.rule == "twofold-direct"
-    assert not replay(replace(trace, rule="twofold-parity"))
+    assert not replay(ConstructionTrace("twofold-parity", trace.parameters, trace.children))
     assert not replay(ConstructionTrace("twofold-parity", {"t": 4, "s": 3, "table": "odd"}))
 
 

@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,7 +318,7 @@ def mutants(lab, rng):
     few positions: +1, set to m, m+1 or 0, or set to another vertex's label."""
     m = lab.spec.edge_count
     other = NEAR_GRACEFUL if lab.mode == GRACEFUL else GRACEFUL
-    yield replace(lab, mode=other)
+    yield Labelling(lab.spec, lab.vanes, other)
     cells = [(k, i) for k, vane in enumerate(lab.vanes) for i in range(1, len(vane))]
     for k, i in rng.sample(cells, min(len(cells), 6)):
         label = lab.vanes[k][i]
@@ -327,9 +326,9 @@ def mutants(lab, rng):
         for new in (label + 1, m, m + 1, 0, lab.vanes[dk][di]):
             vanes = list(lab.vanes)
             vanes[k] = vanes[k][:i] + (new,) + vanes[k][i + 1 :]
-            mutant = replace(lab, vanes=tuple(vanes))
+            mutant = Labelling(lab.spec, tuple(vanes), lab.mode)
             yield mutant
-            yield replace(mutant, mode=other)
+            yield Labelling(mutant.spec, mutant.vanes, other)
 
 
 def test_verify_matches_reference_on_families_and_mutants():
@@ -368,7 +367,8 @@ def checks(monkeypatch):
 
 
 def test_verify_keeps_its_report_on_the_labelling(checks):
-    lab = replace(FIGURE_STYLE)  # a fresh instance, never verified
+    # a fresh instance, never verified
+    lab = Labelling(FIGURE_STYLE.spec, FIGURE_STYLE.vanes, FIGURE_STYLE.mode)
     first = verify(lab)
     assert first.ok and len(checks) == 1
     del checks[:]
@@ -420,7 +420,8 @@ def test_list_inputs_are_copied_into_tuples():
     vanes.append([0, 2, 4])
     assert spec.vanes == ((3, 1), (4, 1)) and spec.edge_count == 7
     assert lab.vanes == ((0, 6, 7), (0, 5, 1, 3))
-    assert verify(lab) == report == windmill._report(replace(lab), False)
+    fresh = Labelling(lab.spec, lab.vanes, lab.mode)
+    assert verify(lab) == report == windmill._report(fresh, False)
     assert windmill.edge_multiset(lab) == Counter(range(1, 8))
 
 
@@ -450,8 +451,9 @@ def test_kept_reports_match_fresh_checks_on_families_and_mutants():
     for lab in small_family_labellings():
         for case in (lab, *mutants(lab, rng)):
             for order in ((False, True), (True, False)):
-                case = replace(case)  # nothing kept yet
+                case = Labelling(case.spec, case.vanes, case.mode)  # nothing kept yet
                 first = [verify(case, permissive_near=p) for p in order]
                 for p, report in zip(order, first):
                     assert verify(case, permissive_near=p) is report
-                    assert report == windmill._report(replace(case), p), case
+                    fresh = Labelling(case.spec, case.vanes, case.mode)
+                    assert report == windmill._report(fresh, p), case

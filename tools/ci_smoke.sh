@@ -3,6 +3,8 @@
 # a writable directory.  `python tools/run_ci_smoke.py` runs it in a checkout.
 # The `label --json` digest of the C3, C5, C3C5 and C3C6 grid is a tier-1 test
 # (`tests/test_cli.py`).
+# importing the CLI builds no dataclass, so neither module is loaded
+python -c 'import sys, windmills.cli; assert not {"dataclasses", "inspect"} & set(sys.modules)'
 windmills label --graph c3=4,c4=3 --json > lab.json
 windmills verify --file lab.json
 windmills oracle --graph c3=2 --mode graceful
@@ -49,6 +51,9 @@ assert peak_mb < 64, peak_mb
 PY
 code=0; windmills label --graph c3=4,c4=-3 || code=$?
 test "$code" = 3
+# a size past the CLI's cap of 10^6 edges is refused as unsupported
+code=0; windmills label --graph c3=99999999999999999999 || code=$?
+test "$code" = 2
 echo '{"spec": [{"cycle": 3, "count": 1}], "mode": "graceful", "vanes": [[0, 1.9, 3]]}' > "$RUNNER_TEMP/float.json"
 code=0; windmills verify --file "$RUNNER_TEMP/float.json" || code=$?
 test "$code" = 3
