@@ -49,6 +49,7 @@ from .families import (
     base_case_c3c4,
     coverage_audit,
     extend_c3c4,
+    label,
     label_c3,
     label_c3c4,
     label_c3c5,

@@ -1,37 +1,24 @@
 """Command-line front end: generate, label, verify, search, audit, sweep.
 
 Exit codes: 0 success/verified; 1 verification failed; 2 unsupported
-parameters; 3 malformed input; 4 search budget exhausted.
+parameters; 3 malformed input; 4 search budget exhausted; 141 stdout closed
+early, the code a shell reports for a death by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
-from . import families, oracle
+from . import families, oracle, sequences
 from .errors import (
     MalformedLabelling,
     OutOfRange,
     SearchBudgetExhausted,
-    Unlabellable,
     WindmillError,
-)
-from .sequences import (
-    KNOWN_TAGS,
-    SequenceKind,
-    fixed_small_twofold,
-    gen_hooked_skolem,
-    gen_langford_doubledefect,
-    gen_near_skolem_topdefect,
-    gen_power4,
-    gen_skolem,
-    gen_twofold_langford,
-    gen_twofold_skolem,
-    parse_sequence,
-    validate,
 )
 from .windmill import (
     WindmillSpec,
@@ -47,23 +34,23 @@ EXIT_VERIFY_FAILED = 1
 EXIT_UNSUPPORTED = 2
 EXIT_MALFORMED = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
-# The largest size the CLI builds: the edges of a `label` graph or of the
-# largest cell of a `sweep`, and the cells of a `seq gen` sequence.  At this
-# size a labelling takes about 2 s and 270 MB; far past it the build runs out
-# of memory or overflows a list length.
-_MAX_SIZE = 1_000_000
+# The most edges of a `label` graph or of the largest cell of a `sweep`: the
+# library's cap on the cells of a sequence.  At this size a labelling takes
+# about 2 s and 270 MB; far past it the build would run out of memory.
+_MAX_SIZE = sequences.MAX_CELLS
 
-# kind -> (the option that sizes it, its generator, the most cells it gives)
+# kind -> (the option that sizes it, its generator)
 _GEN_KINDS = {
-    "skolem": ("order", gen_skolem, lambda n: 2 * n),
-    "hooked-skolem": ("order", gen_hooked_skolem, lambda n: 2 * n + 1),
-    "langford2d": ("defect", gen_langford_doubledefect, lambda d: 4 * d - 2),
-    "near-top": ("order", gen_near_skolem_topdefect, lambda n: 2 * n - 1),
-    "twofold-skolem": ("order", gen_twofold_skolem, lambda n: 4 * n),
-    "power4": ("order", gen_power4, lambda x: 4 * x),
-    "twofold-langford": ("order", gen_twofold_langford, lambda k: 16 * k - 4),
-    "small-c": ("order", fixed_small_twofold, lambda y: 4 * y),
+    "skolem": ("order", sequences.gen_skolem),
+    "hooked-skolem": ("order", sequences.gen_hooked_skolem),
+    "langford2d": ("defect", sequences.gen_langford_doubledefect),
+    "near-top": ("order", sequences.gen_near_skolem_topdefect),
+    "twofold-skolem": ("order", sequences.gen_twofold_skolem),
+    "power4": ("order", sequences.gen_power4),
+    "twofold-langford": ("order", sequences.gen_twofold_langford),
+    "small-c": ("order", sequences.fixed_small_twofold),
 }
 
 
@@ -92,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src = val.add_mutually_exclusive_group(required=True)
     src.add_argument("--stdin", action="store_true")
     src.add_argument("--file")
-    val.add_argument("--kind", required=True, choices=KNOWN_TAGS)
+    val.add_argument("--kind", required=True, choices=sequences.KNOWN_TAGS)
     val.add_argument("--defect", type=int)
     val.add_argument("--fragment", action="store_true", help="allow half-paired symbols")
 
@@ -116,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--mode", choices=("graceful", "near-graceful"))
     orc.add_argument("--max-label", type=int, help="largest vertex label to try")
     orc.add_argument("--budget", type=int, help="node budget")
-    orc.add_argument("--seq-kind", choices=KNOWN_TAGS)
+    orc.add_argument("--seq-kind", choices=sequences.KNOWN_TAGS)
     orc.add_argument("--order", type=int)
     orc.add_argument("--defect", type=int)
     orc.add_argument("--all", action="store_true", help="enumerate all sequences")
@@ -151,9 +138,9 @@ def _parse_range(text: str) -> range:
     return values
 
 
-def _check_size(what: str, size: int, unit: str) -> None:
-    if size > _MAX_SIZE:
-        raise OutOfRange(f"{what} {size} {unit}, above the limit of {_MAX_SIZE}")
+def _check_edges(what: str, edges: int) -> None:
+    if edges > _MAX_SIZE:
+        raise OutOfRange(f"{what} has {edges} edges, above the limit of {_MAX_SIZE}")
 
 
 def _reject_unread(args, reader: str, *names: str) -> None:
@@ -164,14 +151,13 @@ def _reject_unread(args, reader: str, *names: str) -> None:
 
 
 def _cmd_seq_gen(args) -> int:
-    option, generate, cells = _GEN_KINDS[args.kind]
+    option, generate = _GEN_KINDS[args.kind]
     size = getattr(args, option)
     if size is None:
         raise MalformedLabelling(f"{args.kind} needs --{option}")
     _reject_unread(args, args.kind, "defect" if option == "order" else "order")
     if args.kind != "power4":
         _reject_unread(args, args.kind, "trimmed")
-    _check_size(f"{args.kind} --{option} {size} gives up to", cells(size), "cells")
     seq = generate(size, trimmed=args.trimmed) if args.kind == "power4" else generate(size)
     if not seq.entries:
         raise MalformedLabelling(f"{args.kind} --{option} {size} is the empty sequence")
@@ -188,9 +174,9 @@ def _cmd_seq_validate(args) -> int:
                 text = fh.read()
         except OSError as exc:
             raise MalformedLabelling(f"cannot read {args.file}: {exc}") from exc
-    seq = parse_sequence(text)
-    kind = SequenceKind(args.kind, defect=args.defect)
-    report = validate(seq, kind, fragment=args.fragment)
+    seq = sequences.parse_sequence(text)
+    kind = sequences.SequenceKind(args.kind, defect=args.defect)
+    report = sequences.validate(seq, kind, fragment=args.fragment)
     if report.ok:
         print(f"accept: {args.kind} of order {seq.order}")
         return EXIT_OK
@@ -199,27 +185,10 @@ def _cmd_seq_validate(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
-def _label_for_spec(spec: WindmillSpec):
-    counts = {length: spec.count_of(length) for length in (3, 4, 5, 6)}
-    t, s, p, h = counts[3], counts[4], counts[5], counts[6]
-    present = {length for length in (3, 4, 5, 6) if counts[length]}
-    if present == {3}:
-        return families.label_c3(t), None
-    if present == {5}:
-        return families.label_c5(p), None
-    if present == {3, 4}:
-        return families.label_c3c4(t, s)
-    if present == {3, 5}:
-        return families.label_c3c5(t, p), None
-    if present == {3, 6}:
-        return families.label_c3c6(t, h), None
-    raise Unlabellable(f"no construction for vane lengths {sorted(present)}")
-
-
 def _cmd_label(args) -> int:
     spec = WindmillSpec.parse(args.graph)
-    _check_size(f"{spec.to_text()} has", spec.edge_count, "edges")
-    labelling, trace = _label_for_spec(spec)
+    _check_edges(spec.to_text(), spec.edge_count)
+    labelling, trace = families.label(spec)
     if args.dot:
         print(to_dot(labelling))
     elif args.text or (not args.json and not args.trace):
@@ -229,10 +198,7 @@ def _cmd_label(args) -> int:
     if args.json:
         print(to_json(labelling))
     if args.trace:
-        if trace is not None:
-            print(trace.format())
-        else:
-            print("(single-rule family; no trace recorded)")
+        print(trace.format())
     return EXIT_OK
 
 
@@ -277,7 +243,7 @@ def _cmd_oracle(args) -> int:
             raise MalformedLabelling("oracle --seq-kind needs --order")
         if args.order < 1:
             raise MalformedLabelling(f"--order must be >= 1, got {args.order}")
-        kind = SequenceKind(args.seq_kind, defect=args.defect)
+        kind = sequences.SequenceKind(args.seq_kind, defect=args.defect)
         results = oracle.search_sequence(kind, args.order, enumerate_all=args.all)
         if not results:
             print("none (exhaustive)")
@@ -310,13 +276,13 @@ def _cmd_sweep(args) -> int:
     t_range = _parse_range(args.t)
     s_range = _parse_range(args.s)
     t, s = t_range[-1], s_range[-1]
-    _check_size(f"cell t={t} s={s} has", 3 * t + 4 * s, "edges")
+    _check_edges(f"cell t={t} s={s}", WindmillSpec.of((3, t), (4, s)).edge_count)
     if args.csv:
         print("t,s,m,mode,rule,verified")
     all_ok = True
     for t in t_range:
         for s in s_range:
-            labelling, trace = families.label_c3c4(t, s)
+            labelling, trace = families.label(WindmillSpec.of((3, t), (4, s)))
             report = verify(labelling)
             all_ok = all_ok and report.ok
             m, mode, rule, ok = labelling.spec.edge_count, labelling.mode, trace.rule, report.ok
@@ -331,7 +297,9 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
     except (MalformedLabelling, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -341,6 +309,9 @@ def main(argv=None) -> int:
     except WindmillError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except BrokenPipeError:  # stdout to devnull, so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,12 +1,12 @@
 """Family-level dispatchers: label a whole windmill from sequence machinery.
 
-Each public ``label_*`` routine picks sequences, shifts and compositions for
-one windmill family and returns a verified labelling.  A triangle/square
-cell is planned first: ``_plan_c3c4`` walks the rule function ``_c3c4_rule``
-down the extension bases.  By the coverage lemma of ``_extension_k`` every
-cell has a plan.  The build and ``replay`` read that plan, the coverage audit
-reads each cell's rule, and the plan is the construction trace ``label_c3c4``
-returns.
+``label(spec)`` is the one map from a vane set to its family.  Each public
+``label_*`` routine picks sequences, shifts and compositions for one family
+and returns a verified labelling.  A triangle/square cell is planned first:
+``_plan_c3c4`` walks the rule function ``_c3c4_rule`` down the extension
+bases.  By the coverage lemma of ``_extension_k`` every cell has a plan.  The
+build and ``replay`` read that plan, the audit reads each cell's rule, and the
+plan is the construction trace ``label_c3c4`` returns.
 """
 
 from __future__ import annotations
@@ -82,6 +82,27 @@ class ConstructionTrace(_value.Value, frozen=False):
         for child in self.children:
             lines.append(child.format(indent + 1))
         return "\n".join(lines)
+
+
+def label(spec: WindmillSpec) -> tuple[Labelling, ConstructionTrace]:
+    """The verified labelling of a windmill and its construction trace.  A C3
+    windmill is the C3C4 cell with no squares.  The ``label_*`` routines are
+    read as module globals, so a wrapper set on the module sees every call."""
+    t, s, p, h = map(spec.count_of, (3, 4, 5, 6))
+    lengths = {length for length, _ in spec.vanes}
+    if t and lengths <= {3, 4}:
+        return label_c3c4(t, s)
+    if lengths == {5}:
+        return label_c5(p), ConstructionTrace("five-cycles", {"p": p})
+    if lengths == {3, 5}:
+        if (t, p) == (1, 1):
+            return label_c3c5(t, p), ConstructionTrace("c3c5-fixture", {"t": t, "p": p})
+        trace = ConstructionTrace("langford-triangles", {"t": t, "p": p, "defect": p + 1})
+        return label_c3c5(t, p), trace
+    if lengths == {3, 6}:
+        trace = ConstructionTrace("hexagon-merge", {"t": t, "h": h, "n": t + 2 * h})
+        return label_c3c6(t, h), trace
+    raise Unlabellable(f"no construction for vane lengths {sorted(lengths)}")
 
 
 def _checked(labelling: Labelling) -> Labelling:
@@ -255,6 +276,7 @@ RULES = frozenset(_SQUARE_BLOCKS) | {
     "base-case",
     "gap-fixture",
     *(f"extension-case{case}" for case in range(1, 5)),
+    "five-cycles", "langford-triangles", "c3c5-fixture", "hexagon-merge",
 }
 
 

@@ -336,6 +336,14 @@ def _ensure_valid(
 # ---------------------------------------------------------------------------
 
 
+MAX_CELLS = 1_000_000  # the most cells a sequence may have, checked before allocation
+
+
+def _check_cells(length: int) -> None:
+    if length > MAX_CELLS:
+        raise OutOfRange(f"sequence of {length} cells, above the limit of {MAX_CELLS}")
+
+
 def _from_rows(length: int, rows) -> SkolemTypeSequence:
     """The sequence of ``length`` cells that holds the pairs of every row.
 
@@ -347,8 +355,9 @@ def _from_rows(length: int, rows) -> SkolemTypeSequence:
     cell outside [1, length], or with more than one pair on a zero step,
     raises InvalidSequence, since its slice would wrap or grow the list;
     rows that overlap are left to ``_ensure_valid``, which every generator
-    calls.
+    calls.  More than ``MAX_CELLS`` cells raise OutOfRange.
     """
+    _check_cells(length)
     entries = [0] * (length + 1)  # cell i at index i; index 0 stays unused
     for row in rows:
         count, sym, dsym, left, dleft = row
@@ -696,10 +705,11 @@ def langford_sequence(d: int, l: int) -> SkolemTypeSequence:
     depends on ``(d, l)`` only; it is memoised.  The search builds every
     admissible order for ``d <= 20, l <= 4d + 4``, but at orders just above
     ``2d - 1`` with larger ``d``, such as ``(26, 52)`` and ``(30, 60)``, it
-    raises SearchBudgetExhausted.
+    raises SearchBudgetExhausted.  Past ``MAX_CELLS`` cells it raises OutOfRange.
     """
     if not exists("langford", order=l, defect=d):
         raise NoSuchSequence(f"no Langford sequence with defect {d} and order {l}")
+    _check_cells(2 * l)
     if l == 2 * d - 1:
         return gen_langford_doubledefect(d)
     if l >= 8 * d - 4:

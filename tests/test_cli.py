@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 from windmills import cli, families, sequences
 from windmills.cli import main
-from windmills.errors import Unlabellable
-from windmills.windmill import from_json, verify
+from windmills.errors import Unlabellable, WindmillError
+from windmills.windmill import WindmillSpec, from_json, to_json, verify
 
 
 def run(capsys, *argv):
@@ -84,8 +85,16 @@ def test_label_text_default(capsys):
 
 
 def test_label_trace_single_rule_family(capsys):
-    code, out, _ = run(capsys, "label", "--graph", "c3=4", "--trace")
-    assert code == 0 and out == "(single-rule family; no trace recorded)\n"
+    # every family prints its rule; a C3 windmill is the C3C4 cell with no squares
+    lines = {
+        "c3=4": "triangles-only(t=4)",
+        "c5=3": "five-cycles(p=3)",
+        "c3=3,c5=1": "langford-triangles(t=3, p=1, defect=2)",
+        "c3=1,c5=1": "c3c5-fixture(t=1, p=1)",
+        "c3=2,c6=1": "hexagon-merge(t=2, h=1, n=4)",
+    }
+    for graph, line in lines.items():
+        assert run(capsys, "label", "--graph", graph, "--trace") == (0, line + "\n", "")
 
 
 def test_label_json_roundtrips_through_verify(capsys, tmp_path):
@@ -389,6 +398,14 @@ def test_sweep_streams_the_rows_before_a_failing_cell(capsys, monkeypatch, flags
     assert err == "error: Unlabellable: no plan for t=4 s=1\n"
 
 
+def test_sweep_cells_fail_as_label_fails(capsys):
+    # each cell is labelled through the entry point that `label --graph` uses
+    assert run(capsys, "sweep", "--t", "0", "--s", "1") == run(capsys, "label", "--graph", "c4=1")
+    assert run(capsys, "sweep", "--t", "0", "--s", "0") == (
+        3, "", "error: windmill needs at least 3 edges\n"
+    )
+
+
 def test_sweep_bad_range(capsys):
     code, out, err = run(capsys, "sweep", "--t", "x", "--s", "0..1")
     assert code == 3 and out == ""
@@ -413,24 +430,23 @@ HUGE = "99999999999999999999"
             ["sweep", "--t", HUGE, "--s", "0", "--csv"],
             f"cell t={HUGE} s=0 has {3 * int(HUGE)} edges",
         ),
+        # `seq gen` leaves the cap to the generators, which check the cells
+        # they would fill before they allocate them
+        (["seq", "gen", "--kind", "skolem", "--order", "500001"], "sequence of 1000002 cells"),
         (
-            ["seq", "gen", "--kind", "skolem", "--order", "500001"],
-            "skolem --order 500001 gives up to 1000002 cells",
-        ),
-        (
-            ["seq", "gen", "--kind", "hooked-skolem", "--order", "500000"],
-            "hooked-skolem --order 500000 gives up to 1000001 cells",
+            ["seq", "gen", "--kind", "hooked-skolem", "--order", "500002"],
+            "sequence of 1000005 cells",
         ),
         (
             ["seq", "gen", "--kind", "skolem", "--order", f"1{'0' * 20}"],
-            f"skolem --order 1{'0' * 20} gives up to 2{'0' * 20} cells",
+            f"sequence of 2{'0' * 20} cells",
         ),
     ],
 )
 def test_sizes_above_the_cap_exit_2_before_building(capsys, argv, message):
     # past the cap a build overflows a list length, runs out of memory or runs
     # for minutes; the check answers before any row or sequence is printed
-    assert cli._MAX_SIZE == 1_000_000
+    assert cli._MAX_SIZE == sequences.MAX_CELLS == 1_000_000
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: OutOfRange: {message}, above the limit of 1000000\n"
@@ -445,11 +461,8 @@ def test_sizes_at_the_cap_reach_the_builders(capsys, monkeypatch):
     monkeypatch.setattr(
         families, "label_c3c4", lambda t, s: asked.append((t, s)) or label_c3c4(1, 0)
     )
-    option, _, cells = cli._GEN_KINDS["skolem"]
     monkeypatch.setitem(
-        cli._GEN_KINDS,
-        "skolem",
-        (option, lambda n: asked.append(n) or sequences.gen_skolem(1), cells),
+        cli._GEN_KINDS, "skolem", ("order", lambda n: asked.append(n) or sequences.gen_skolem(1))
     )
     assert run(capsys, "label", "--graph", "c5=200000")[0] == 0
     assert run(capsys, "label", "--graph", "c3=4,c4=249997")[0] == 0
@@ -529,15 +542,56 @@ def test_parser_reuse_leaks_no_state(capsys, tmp_path):
 LABEL_GRID = "8b9ca9b8ac7571381d5a968375a634650e1aa789100fc0a31fb905eac5988b5c"
 
 
-def test_label_json_grid_is_pinned():
+def label_grid_graphs():
     graphs = [f"c3={t}" for t in range(1, 201)] + [f"c5={p}" for p in range(1, 151)]
     graphs += [f"c3={t},c5={p}" for p in range(1, 9) for t in range(1, 2 * p + 10)]
     graphs += [f"c3={t},c6={h}" for t in range(1, 31) for h in range(1, 2 * t + 3)]
     assert len(graphs) == 1484
+    return graphs
+
+
+def test_label_json_grid_is_pinned():
     digest = hashlib.sha256()
-    for graph in graphs:
+    for graph in label_grid_graphs():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["label", "--graph", graph, "--json"])
         digest.update(f"{graph},{code}\n{out.getvalue()}{err.getvalue()}".encode())
     assert digest.hexdigest() == LABEL_GRID
+
+
+def test_label_prints_what_the_entry_point_builds(capsys):
+    # the CLI keeps no family logic: `label --json` is `families.label`'s labelling
+    for graph in label_grid_graphs():
+        code, out, err = run(capsys, "label", "--graph", graph, "--json")
+        try:
+            labelling, trace = families.label(WindmillSpec.parse(graph))
+        except WindmillError as exc:
+            assert (code, out, err) == (2, "", f"error: {type(exc).__name__}: {exc}\n")
+            continue
+        assert (code, out, err) == (0, to_json(labelling) + "\n", "")
+        assert all(node.rule in families.RULES for node in trace.walk()), graph
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--t-max", "1", "--s-max", "200000", "--csv"],
+        ["sweep", "--t", "1", "--s", "0..5000", "--csv"],
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # a reader that stops early, as `| head -1` does: no traceback, and the
+    # code a shell reports for a death by SIGPIPE rather than 1 (verification failed)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(
+        [sys.executable, "-m", "windmills.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"t,s,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")

@@ -14,6 +14,7 @@ from windmills.errors import (
     NotInTable,
     OutOfRange,
     TooManyHexagons,
+    Unlabellable,
     UnsupportedCombination,
 )
 from windmills.families import (
@@ -40,6 +41,7 @@ from windmills.families import (
 from windmills.windmill import (
     GRACEFUL,
     NEAR_GRACEFUL,
+    WindmillSpec,
     edge_multiset,
     expected_mode,
     to_json,
@@ -134,6 +136,43 @@ def test_label_c3c4_spot_cells(t, s):
     assert lab.mode == expected_mode(lab.spec)
     assert replay(trace)
     assert all(node.rule in RULES for node in trace.walk())
+
+
+def test_label_dispatches_each_vane_set_to_its_family():
+    # each family's routine gives the labelling, and the trace names its rule
+    cases = [
+        ("c3=6", label_c3(6), "triangles-only"),
+        ("c3=6,c4=9", label_c3c4(6, 9)[0], "twofold-parity"),
+        ("c5=4", label_c5(4), "five-cycles"),
+        ("c3=1,c5=1", label_c3c5(1, 1), "c3c5-fixture"),
+        ("c3=9,c5=4", label_c3c5(9, 4), "langford-triangles"),
+        ("c3=3,c6=7", label_c3c6(3, 7), "hexagon-merge"),
+    ]
+    for graph, want, rule in cases:
+        labelling, trace = families.label(WindmillSpec.parse(graph))
+        assert (labelling, trace.rule) == (want, rule), graph
+        assert all(node.rule in RULES for node in trace.walk())
+    with pytest.raises(Unlabellable, match=r"vane lengths \[4\]"):
+        families.label(WindmillSpec.of((4, 3)))
+    with pytest.raises(Unlabellable, match=r"vane lengths \[3, 4, 5\]"):
+        families.label(WindmillSpec.of((3, 1), (4, 1), (5, 1)))
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (label_c3, (10**20,)),
+        (label_c3c4, (10**20, 1)),
+        (label_c5, (10**20,)),
+        (label_c3c6, (10**20, 1)),
+        (label_c3c5, (10**20, 1)),
+        (sequences.gen_skolem, (10**20,)),
+    ],
+)
+def test_huge_sizes_raise_out_of_range(build, args):
+    # each needs a sequence of about 2*10^20 cells, which is refused before it is allocated
+    with pytest.raises(OutOfRange, match="cells, above the limit of 1000000"):
+        build(*args)
 
 
 @pytest.mark.parametrize("t,s", [(4, 18), (4, 22), (6, 54), (6, 60), (4, 44), (5, 51)])
@@ -874,8 +913,6 @@ def test_gap_cells_still_label():
 
 
 def test_parameter_guards():
-    from windmills.errors import Unlabellable
-
     with pytest.raises(Unlabellable):
         label_c3c4(0, 5)  # pure square windmills are not covered
     with pytest.raises(OutOfRange):

@@ -657,3 +657,81 @@ def test_search_sequence_oversized_symbol_is_exhaustive_negative(n, enumerate_al
     for kind in oversized:
         assert search_sequence(kind, n, enumerate_all) == [], kind
         assert reference_search_sequence(kind, n, enumerate_all) == [], kind
+
+
+def centre_free_labellings(spec, mode):
+    """Every labelling of ``spec`` in ``mode``, the centre's label included:
+    (centre, vanes), each vane's middle vertices in order.
+
+    Plain backtracking over the vertices, vane by vane, with no symmetry cut
+    and the centre free over 0 and ``labels(m, mode)``: a branch ends only when
+    a vertex label repeats, or an edge label repeats or is not a target.
+    """
+    targets = labels(spec.edge_count, mode)
+    allowed = sum(1 << label for label in targets)
+    cycles = [length for length, count in spec.vanes for _ in range(count)]
+    # (opens a vane, closes it) for each vertex but the centre
+    slots = [(j == 1, j == length - 1) for length in cycles for j in range(1, length)]
+    chosen = []
+
+    def fill(centre, used, edges):
+        if len(chosen) == len(slots):
+            rest = iter(chosen)
+            yield centre, [tuple(itertools.islice(rest, length - 1)) for length in cycles]
+            return
+        opens, closes = slots[len(chosen)]
+        before = centre if opens else chosen[-1]
+        for v in (0, *targets):
+            edge = 1 << abs(v - before)
+            if used >> v & 1 or not allowed & edge or edges & edge:
+                continue
+            close = 1 << abs(v - centre) if closes else 0
+            if closes and (not allowed & close or (edges | edge) & close):
+                continue
+            chosen.append(v)
+            yield from fill(centre, used | 1 << v, edges | edge | close)
+            chosen.pop()
+
+    for centre in (0, *targets):
+        yield from fill(centre, 1 << centre, 0)
+
+
+def test_centre_free_search_tries_every_centre():
+    # the triangles {0, 1, 3} and {0, 2, 3}: 4 labellings at centre 0 or 3, 2 at 1 or 2
+    found = list(centre_free_labellings(WindmillSpec.of((3, 1)), GRACEFUL))
+    assert sorted(centre for centre, _ in found) == [0] * 4 + [1] * 2 + [2] * 2 + [3] * 4
+    assert (1, [(0, 3)]) in found and (2, [(3, 0)]) in found
+
+
+def test_oracle_negatives_hold_for_every_centre():
+    # The oracle fixes the centre at 0.  Every one of its verdicts with m <= 10
+    # is the verdict of the search with a free centre, so each negative also
+    # rules out the labellings whose centre is not 0.
+    negatives = []
+    for t, s, p, h in itertools.product(range(4), range(3), range(3), range(2)):
+        if not 0 < 3 * t + 4 * s + 5 * p + 6 * h <= 10:
+            continue
+        spec = WindmillSpec.of((3, t), (4, s), (5, p), (6, h))
+        for mode in (GRACEFUL, NEAR_GRACEFUL):
+            status = search_labelling(spec, mode).status
+            assert status in (FOUND, NONE)
+            free = next(centre_free_labellings(spec, mode), None)
+            assert (status == FOUND) == (free is not None), (spec.to_text(), mode)
+            if status == NONE:
+                negatives.append((spec.to_text(), mode))
+    assert sorted(negatives) == sorted([
+        ("c4=1,c6=1", GRACEFUL),
+        ("c4=1,c5=1", GRACEFUL),
+        ("c4=1", NEAR_GRACEFUL),
+        ("c4=2", NEAR_GRACEFUL),
+        ("c5=1", GRACEFUL),
+        ("c5=2", GRACEFUL),
+        ("c6=1", GRACEFUL),
+        ("c3=1", NEAR_GRACEFUL),
+        ("c3=1,c6=1", GRACEFUL),
+        ("c3=1,c5=1", NEAR_GRACEFUL),
+        ("c3=1,c4=1", NEAR_GRACEFUL),
+        ("c3=2", GRACEFUL),
+        ("c3=2,c4=1", GRACEFUL),
+        ("c3=3", GRACEFUL),
+    ])

@@ -604,6 +604,16 @@ def test_rows_fill_their_cells():
     assert sequences._from_rows(3, ((0, 1, 0, 9, 0), (-2, 1, 0, -9, 0))).entries == (0, 0, 0)
 
 
+def test_cell_cap_holds_at_the_row_tables_and_the_pair_search():
+    assert sequences._from_rows(sequences.MAX_CELLS, ()).length == sequences.MAX_CELLS
+    with pytest.raises(OutOfRange, match="^sequence of 1000001 cells, above the limit of 1000000$"):
+        sequences._from_rows(sequences.MAX_CELLS + 1, ())
+    # a Langford sequence of defect 2 and order 500003 exists; its cells are refused unsearched
+    with mock.patch.object(sequences, "_search_pairs", side_effect=AssertionError("searched")):
+        with pytest.raises(OutOfRange, match="^sequence of 1000006 cells"):
+            sequences.langford_sequence(2, 500003)
+
+
 @pytest.mark.parametrize(
     "row",
     [

@@ -21,6 +21,23 @@ test "$out" = "none (exhaustive)"
 code=0; windmills oracle --seq-kind skolem --order 0 || code=$?
 test "$code" = 3
 windmills label --graph c3=7,c4=70 --trace
+# every family prints its trace rule
+out=$(windmills label --graph c5=3 --trace)
+test "$out" = "five-cycles(p=3)"
+# a reader that stops early: no traceback, and exit 141, as a shell reports a SIGPIPE death
+windmills audit --t-max 1 --s-max 200000 --csv 2> "$RUNNER_TEMP/pipe.err" | head -2 > /dev/null
+test "${PIPESTATUS[0]}" = 141
+test ! -s "$RUNNER_TEMP/pipe.err"
+# the library refuses a sequence past its cell cap before it allocates one
+python - <<'PY'
+from windmills import errors, sequences
+try:
+    sequences.gen_skolem(10**20)
+except errors.OutOfRange as exc:
+    assert str(exc) == "sequence of 200000000000000000000 cells, above the limit of 1000000", exc
+else:
+    raise AssertionError("gen_skolem(10**20) returned")
+PY
 windmills label --graph c3=90,c4=700 --trace
 windmills audit --t-max 8 --s-max 120 --csv > /dev/null
 timeout 60 windmills label --graph c3=20000 --json > "$RUNNER_TEMP/big.json"
