@@ -92,11 +92,6 @@ def quadruples_from_twofold(seq: SkolemTypeSequence, c: int) -> list[tuple[int, 
 # 5-cycle vanes
 # ---------------------------------------------------------------------------
 
-_FIVETUPLE_LITERALS = {
-    2: [(0, 11, 2, 9, 1), (0, 6, 3, 7, 5)],
-    3: [(0, 15, 1, 14, 12), (0, 5, 6, 3, 10), (0, 9, 13, 2, 8)],
-}
-
 # Hand-searched companion sequences for p = 2, 3, below the near-Skolem tables'
 # first order 11: symbol sets match the hooked base's position set, with no
 # right endpoint in F(p) (see ``_fivetuple_sources``).
@@ -167,8 +162,6 @@ def fivetuples_c5(p: int) -> list[tuple[int, int, int, int, int]]:
     """5-cycle vanes labelling the p-vane 5-cycle windmill (shift = p)."""
     if p < 1:
         raise OutOfRange(f"need p >= 1, got {p}")
-    if p in _FIVETUPLE_LITERALS:
-        return list(_FIVETUPLE_LITERALS[p])
     return fivetuples_shifted(p, p)
 
 

@@ -34,6 +34,8 @@ from windmills.sequences import (
     parse_sequence,
 )
 
+from windmills.windmill import GRACEFUL, NEAR_GRACEFUL, Labelling, WindmillSpec, verify
+
 from reference_pairing import pairs_of
 
 
@@ -198,8 +200,12 @@ def test_small_blocks_tightest_shift(y, min_c):
 
 
 def test_fivetuples_literals():
-    assert fivetuples_c5(2) == [(0, 11, 2, 9, 1), (0, 6, 3, 7, 5)]
-    assert fivetuples_c5(3) == [(0, 15, 1, 14, 12), (0, 5, 6, 3, 10), (0, 9, 13, 2, 8)]
+    # p = 2, 3 sit below the near-Skolem tables' first order 11, so their
+    # companions are the literal rows of ``_SMALL_COMPANIONS``
+    for p, mode in ((2, NEAR_GRACEFUL), (3, GRACEFUL)):
+        vanes = fivetuples_c5(p)
+        assert vanes == fivetuples_shifted(p, p)
+        assert verify(Labelling(WindmillSpec.of((5, p)), vanes, mode)).ok
 
 
 def test_fivetuples_p1():

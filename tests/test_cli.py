@@ -539,7 +539,7 @@ def test_parser_reuse_leaks_no_state(capsys, tmp_path):
 
 
 # sha256 over `label --json` of 1,484 C3, C5, C3C5 and C3C6 graphs, each with its exit code
-LABEL_GRID = "8b9ca9b8ac7571381d5a968375a634650e1aa789100fc0a31fb905eac5988b5c"
+LABEL_GRID = "515d7b1536a44e797019ecf29220e5a9c9bda429aec47f5183c96c5d8865e33f"
 
 
 def label_grid_graphs():

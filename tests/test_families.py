@@ -73,7 +73,7 @@ def test_label_c3_small():
 
 
 def test_label_c5():
-    assert label_c5(3).vanes == ((0, 15, 1, 14, 12), (0, 5, 6, 3, 10), (0, 9, 13, 2, 8))
+    assert label_c5(3).vanes == ((0, 15, 3, 2, 6), (0, 14, 7, 5, 13), (0, 9, 4, 1, 11))
     lab1 = label_c5(1)
     assert lab1.mode == NEAR_GRACEFUL
     assert lab1.vanes == ((0, 6, 2, 1, 3),)
