@@ -36,11 +36,6 @@ EXIT_MALFORMED = 3
 EXIT_BUDGET = 4
 EXIT_PIPE = 141
 
-# The most edges of a `label` graph or of the largest cell of a `sweep`: the
-# library's cap on the cells of a sequence.  At this size a labelling takes
-# about 2 s and 270 MB; far past it the build would run out of memory.
-_MAX_SIZE = sequences.MAX_CELLS
-
 # kind -> (the option that sizes it, its generator)
 _GEN_KINDS = {
     "skolem": ("order", sequences.gen_skolem),
@@ -139,8 +134,10 @@ def _parse_range(text: str) -> range:
 
 
 def _check_edges(what: str, edges: int) -> None:
-    if edges > _MAX_SIZE:
-        raise OutOfRange(f"{what} has {edges} edges, above the limit of {_MAX_SIZE}")
+    # The library's cap on a sequence's cells caps edges too: a `label` graph's
+    # or a `sweep`'s largest cell.  At it a labelling takes about 2 s and 270 MB.
+    if edges > sequences.MAX_CELLS:
+        raise OutOfRange(f"{what} has {edges} edges, above the limit of {sequences.MAX_CELLS}")
 
 
 def _reject_unread(args, reader: str, *names: str) -> None:

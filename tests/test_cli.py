@@ -446,7 +446,7 @@ HUGE = "99999999999999999999"
 def test_sizes_above_the_cap_exit_2_before_building(capsys, argv, message):
     # past the cap a build overflows a list length, runs out of memory or runs
     # for minutes; the check answers before any row or sequence is printed
-    assert cli._MAX_SIZE == sequences.MAX_CELLS == 1_000_000
+    assert sequences.MAX_CELLS == 1_000_000
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: OutOfRange: {message}, above the limit of 1000000\n"
